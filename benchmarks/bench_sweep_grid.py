@@ -41,7 +41,6 @@ SPEC = SweepSpec(
     precisions=((4, 8),),
     adc_bits=(4, 5),
     calibrations=("workload", "nominal"),
-    tilings=("tiled",),
     device_execs=("turbo",),
     images=tiny(8, 2),
     batch_size=tiny(8, 2),

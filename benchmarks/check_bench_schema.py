@@ -73,7 +73,6 @@ SWEEP_JOB_SCHEMA = {
     "weight_bits": int,
     "adc_bits": int,
     "calibration": str,
-    "tiling": str,
     "device_exec": str,
     "seed": int,
     "data_seed": int,
@@ -226,10 +225,7 @@ SERVE_OBSERVABILITY_SCHEMA = {
 SCENARIO_SCHEMA = {
     "description": str,
     "images": int,
-    "bit_identical_fast": bool,
     "bit_identical_fused": bool,
-    "monolithic_s": float,
-    "monolithic_images_per_s": float,
     "tiled_fast_s": float,
     "tiled_fast_images_per_s": float,
     "tiled_turbo_s": float,
@@ -241,9 +237,7 @@ SCENARIO_SCHEMA = {
     "modeled_tops_per_watt": float,
     "modeled_fps": float,
     "calibrated_layers": int,
-    "speedup_tiled_fast": float,
-    "speedup_tiled_turbo": float,
-    "speedup_tiled_fused": float,
+    "speedup_turbo_vs_fast": float,
     "speedup_fused_vs_turbo": float,
 }
 

@@ -2,7 +2,7 @@
 
 The committed ``BENCH_*.json`` files are an enforceable perf contract, not
 just a trajectory log: this checker compares the key throughput metrics of
-freshly produced records — the tiled-turbo speedup and tile throughput of
+freshly produced records — the kernel speedups and tile throughput of
 the chip simulator, and the sweep runner's job throughput and warm-cache
 speedup — against the committed baselines in ``perf_baseline.json``, each
 with its own relative tolerance band.  A metric that falls below
@@ -12,7 +12,7 @@ Baselines come in two bands selected by the records' own ``"tiny"`` flag:
 ``full`` (developer-machine numbers, tighter bands) and ``tiny`` (CI smoke
 configuration on unknown runner hardware, loose bands that still catch
 order-of-magnitude regressions — e.g. the turbo kernel losing to the
-monolithic path, or the cache slowing jobs down).
+fast kernel, or the cache slowing jobs down).
 
 Usage:  python benchmarks/check_perf_floor.py [repo_root]
 """

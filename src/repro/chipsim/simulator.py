@@ -39,6 +39,7 @@ from ..system.mapping import map_layer
 from ..system.networks import NetworkSpec
 from ..system.nn import Conv2D, Linear, MaxPool2D, SequentialNet
 from ..system.performance import SystemPerformanceModel, SystemPerformanceResult
+from .tiling import TiledLayerEngine
 
 __all__ = ["ChipReport", "ChipSimulator", "network_spec_from_model"]
 
@@ -170,16 +171,11 @@ class ChipSimulator:
         geometry: Macro geometry shared by mapper, tiles, and cost model.
         variation: Device-variation statistics of every cell.
         seed: Seed of the programming-variation draws.
-        tiling: ``"tiled"`` (macro grid, counted activity) or
-            ``"monolithic"`` (PR-1 single oversized macro; activity falls
-            back to the analytic mapping — results are bit-identical
-            either way).
         device_exec: Engine kernel name resolved through the
             :mod:`repro.engine.kernels` registry — ``"exact"``, ``"fast"``
             (default), ``"turbo"`` (throughput mode, ULP-class
             differences), or ``"fused"`` (layer-level batched GEMM,
             bit-identical to ``"turbo"``).
-        tile_workers: Worker threads per tiled layer matmul (0 = auto).
         calibration: ``"workload"`` (default) programs each layer's ADC
             reference bank from its first batch, which is what reaches the
             paper's accuracy at ``adc_bits=5``; ``"nominal"`` keeps the
@@ -209,9 +205,7 @@ class ChipSimulator:
         geometry: MacroGeometry = DEFAULT_GEOMETRY,
         variation: VariationModel = DEFAULT_VARIATION,
         seed: int = 0,
-        tiling: str = "tiled",
         device_exec: str = "fast",
-        tile_workers: int = 0,
         calibration: str = "workload",
         calibration_samples: int = 4096,
         config: Optional[InferenceConfig] = None,
@@ -227,7 +221,6 @@ class ChipSimulator:
             config = InferenceConfig(
                 design=design,
                 backend="device",
-                tiling=tiling,
                 device_exec=device_exec,
                 input_bits=input_bits,
                 weight_bits=weight_bits,
@@ -235,7 +228,6 @@ class ChipSimulator:
                 geometry=geometry,
                 variation=variation,
                 seed=seed,
-                tile_workers=tile_workers,
                 calibration=calibration,
                 calibration_samples=calibration_samples,
             )
@@ -260,14 +252,12 @@ class ChipSimulator:
 
     # -------------------------------------------------------------- internals
 
-    def _tiled_engines(self) -> Dict[str, object]:
-        """The per-layer tile engines (empty for the monolithic tiling)."""
-        engines = {}
-        for layer_name, quantized in self.inference.quantized_layers.items():
-            tiled = quantized.tiled_engine
-            if tiled is not None:
-                engines[layer_name] = tiled
-        return engines
+    def _tiled_engines(self) -> Dict[str, TiledLayerEngine]:
+        """The :class:`~repro.chipsim.TiledLayerEngine` of every weight layer."""
+        return {
+            name: quantized.engine
+            for name, quantized in self.inference.quantized_layers.items()
+        }
 
     def calibrated_layers(self) -> int:
         """Weight layers whose ADC references are workload-programmed.
@@ -275,19 +265,17 @@ class ChipSimulator:
         Zero until the first batch has run (calibration is derived from
         it), and always zero with ``calibration="nominal"``.
         """
-        count = 0
-        for quantized in self.inference.quantized_layers.values():
-            if getattr(quantized.engine, "reference_levels", None) is not None:
-                count += 1
-        return count
+        return sum(
+            engine.reference_levels is not None
+            for engine in self._tiled_engines().values()
+        )
 
     def layer_activities(self, images: int) -> List[LayerActivity]:
         """Per-image activity of the last run, one entry per network layer.
 
         Weight layers report the *counted* tile activity (macro grid
         execution); pooling layers, which run in the digital periphery, use
-        the analytic data-movement counts.  With ``tiling="monolithic"``
-        every layer falls back to the analytic mapping.
+        the analytic data-movement counts.
         """
         if images < 1:
             raise ValueError("images must be positive")
@@ -296,12 +284,8 @@ class ChipSimulator:
         buffer = perf.chip.buffer
         activities: List[LayerActivity] = []
         for layer in self.network.layers:
-            if isinstance(layer, PoolLayer) or layer.name not in engines:
-                activities.append(
-                    perf.pool_layer_activity(layer)
-                    if isinstance(layer, PoolLayer)
-                    else perf.weight_layer_activity(layer)
-                )
+            if isinstance(layer, PoolLayer):
+                activities.append(perf.pool_layer_activity(layer))
                 continue
             engine = engines[layer.name]
             mapping = map_layer(layer, perf.geometry)
@@ -403,6 +387,6 @@ class ChipSimulator:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"ChipSimulator({self.network.name}, design={self.config.design}, "
-            f"tiling={self.config.tiling}, x={self.config.input_bits}b, "
+            f"x={self.config.input_bits}b, "
             f"w={self.config.weight_bits}b)"
         )

@@ -6,29 +6,30 @@ macro is sharded across a tile grid: **row tiles** each hold up to 128
 consecutive weight rows and their digital partial sums are accumulated
 across tiles, **column tiles** own disjoint output channels.
 
-Bit-identity with the monolithic path
--------------------------------------
+Equivalence to one padded macro
+-------------------------------
 
 :class:`TiledLayerEngine` characterises the *full* layer array once — with
-``ArrayState.build`` on exactly the configuration (and generator
-consumption) the monolithic single-macro path of
-:mod:`repro.system.inference` uses — and gives every tile engine a *view*
-of that state (:meth:`~repro.engine.array_state.ArrayState.tile_view`).
-Per-block ADC results are therefore float-for-float those of the monolithic
-engine, and the cross-tile digital accumulation walks the blocks of all row
-tiles in **global block order**, reproducing the monolithic accumulation
-nesting exactly.  ``matmat`` results are bit-identical to one oversized
-macro for ``method="exact"`` and ``method="fast"`` alike; ``"turbo"``
-(cached BLAS operands) carries the engine's documented ULP-class caveat.
+``ArrayState.build`` on the configuration of a single macro holding the
+zero-padded layer (rows rounded up to whole 32-row blocks, one bank per
+output column) — and gives every tile engine a *view* of that state
+(:meth:`~repro.engine.array_state.ArrayState.tile_view`).  Per-block ADC
+results are therefore float-for-float those of that single macro, and the
+cross-tile digital accumulation walks the blocks of all row tiles in
+**global block order**, reproducing its accumulation nesting exactly.
+``matmat`` results equal a :class:`~repro.engine.MacroEngine` on the same
+state with zero-padded weights and inputs, bit for bit, for
+``method="exact"`` and ``method="fast"`` alike (the test suite enforces
+this); ``"turbo"`` (cached BLAS operands) carries the engine's documented
+ULP-class caveat.
 
 Parallelism
 -----------
 
-Tiles are independent until the final accumulation, so ``workers > 1`` runs
-their conversions in a thread pool (numpy releases the GIL inside the heavy
-kernels).  ``workers=0`` picks one thread per core and stays serial on
-single-core hosts, where the ``"turbo"`` per-tile kernel is the speed lever
-instead.
+Tiles are independent until the final accumulation, so their conversions
+run in a thread pool of ``min(num_tiles, os.cpu_count())`` threads (numpy
+releases the GIL inside the heavy kernels); single-tile layers and
+single-core hosts stay serial.
 
 Activity counters
 -----------------
@@ -45,11 +46,11 @@ Workload-calibrated references
 of **all** tiles with one layer-wide Lloyd-Max level set computed from a
 calibration batch (shared maths: :mod:`repro.quant.calibration`).  Because
 the levels are computed from the full padded weight plan — the identical
-computation a monolithic engine performs — and applied uniformly to every
-tile, calibrated tiled execution remains bit-identical to the calibrated
-monolithic path.  This is what lets the device-detailed chip simulator run
-at the paper's 5-bit ADC instead of the 8 bits the nominal worst-case
-references needed.
+computation a single padded macro performs — and applied uniformly to
+every tile, calibrated tiled execution stays bit-identical to that macro
+calibrated on the same batch.  This is what lets the device-detailed chip
+simulator run at the paper's 5-bit ADC instead of the 8 bits the nominal
+worst-case references needed.
 """
 
 from __future__ import annotations
@@ -164,10 +165,8 @@ class TiledLayerEngine:
         weight_bits: Weight precision (4 or 8).
         variation: Device-variation statistics of every cell.
         seed: Variation-draw seed used when no ``rng`` is passed.
-        rng: Optional generator; consumed exactly as the monolithic
-            single-macro build would, so surrounding draws are unaffected.
-        workers: Worker threads per ``matmat`` (0 = one per core; tile
-            execution stays serial on single-core hosts).
+        rng: Optional generator; consumed exactly as one
+            ``ArrayState.build`` of the padded layer would.
         state: Optional prebuilt full-layer :class:`ArrayState` (e.g.
             restored from the sweep cache).  When given, characterisation is
             skipped entirely — including its generator consumption — and the
@@ -185,7 +184,6 @@ class TiledLayerEngine:
         variation: VariationModel = NO_VARIATION,
         seed: int = 0,
         rng: Optional[np.random.Generator] = None,
-        workers: int = 0,
         state: Optional[ArrayState] = None,
     ) -> None:
         weights = np.asarray(weights, dtype=np.int64)
@@ -196,7 +194,6 @@ class TiledLayerEngine:
         self.adc_bits = int(adc_bits)
         self.weight_bits = int(weight_bits)
         self.weight_rows, self.weight_cols = weights.shape
-        self.workers = int(workers)
         block = geometry.block_rows
         self.padded_rows = -(-self.weight_rows // block) * block
         padded = np.zeros((self.padded_rows, self.weight_cols), dtype=np.int64)
@@ -207,9 +204,8 @@ class TiledLayerEngine:
         # (``method="fused"``); shares ``array_state`` with the tile views.
         self._layer_engine: Optional[MacroEngine] = None
 
-        # One characterisation pass for the whole layer, identical to the
-        # monolithic single-macro build (same config, same rng consumption);
-        # each tile engine then works on a view of this state.
+        # One characterisation pass for the whole padded layer; each tile
+        # engine then works on a view of this state.
         if state is None:
             macro_config = IMCMacroConfig(
                 rows=self.padded_rows,
@@ -290,8 +286,8 @@ class TiledLayerEngine:
         interpreter exit.
         """
         if self._pool is None:
-            workers = self.workers or min(self.num_tiles, os.cpu_count() or 1)
-            if workers > 1 and self.num_tiles > 1:
+            workers = min(self.num_tiles, os.cpu_count() or 1)
+            if workers > 1:
                 self._pool = ThreadPoolExecutor(max_workers=workers)
         return self._pool
 
@@ -332,7 +328,7 @@ class TiledLayerEngine:
 
         All row and column tiles of a layer share the layer's reference
         bank programming; applying identical levels everywhere is what
-        keeps tiled execution bit-identical to a monolithic macro
+        keeps tiled execution bit-identical to a single padded macro
         calibrated with the same levels.
         """
         shared = None
@@ -377,10 +373,10 @@ class TiledLayerEngine:
 
         The levels are computed **once** for the whole layer — from the
         full (padded) weight plan and the padded calibration batch, exactly
-        the computation a monolithic :class:`~repro.engine.MacroEngine`
+        the computation a single :class:`~repro.engine.MacroEngine`
         holding the same padded weights performs in its
         ``calibrate_references`` — and then applied identically to every
-        tile, preserving the tiled-vs-monolithic bit-identity contract.
+        tile, so the grid stays bit-identical to that macro.
 
         Args:
             samples: Integer array of shape (weight_rows, batch) — one
@@ -518,8 +514,8 @@ class TiledLayerEngine:
                 unsigned activation vector per column (unpadded; block
                 padding is applied internally).
             bits: Input precision (1..8).
-            method: ``"exact"`` / ``"fast"`` (both bit-identical to the
-                monolithic macro), ``"turbo"`` (per-tile BLAS kernel,
+            method: ``"exact"`` / ``"fast"`` (both bit-identical to a
+                single padded macro), ``"turbo"`` (per-tile BLAS kernel,
                 ULP-class differences), or ``"fused"`` (layer-level batched
                 kernel, bit-identical to turbo and fastest); any layer-level
                 kernel registered in :mod:`repro.engine.kernels` hoists the
@@ -608,7 +604,7 @@ class TiledLayerEngine:
             block_outputs = [run_tile(index) for index in range(self.num_tiles)]
 
         # Digital partial-sum accumulation: per column tile, walk the blocks
-        # of its row tiles in global block order — the monolithic nesting.
+        # of its row tiles in global block order — a single macro's nesting.
         results = np.empty((self.weight_cols, batch))
         for col_tile in range(self.col_tiles):
             members = [

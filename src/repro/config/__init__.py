@@ -5,8 +5,7 @@ Two layers compose:
 * :mod:`repro.config.schema` — the :class:`ConfigSchema` protocol every
   config dataclass (``InferenceConfig``, ``SweepSpec``, ``ServeConfig``)
   declares: typed field specs, unknown-key rejection with did-you-mean
-  suggestions, legacy aliases behind :class:`DeprecationWarning`, and enum
-  validation routed through the owning registries.
+  suggestions, and enum validation routed through the owning registries.
 * :mod:`repro.config.loader` — schema-agnostic YAML loading with
   ``extends`` overlay merging, ``${var}`` interpolation, and dotted
   ``--set key=value`` overrides.
@@ -24,7 +23,6 @@ so the eager import would be circular.  Use
 * Energies carry ``_j``; byte sizes carry ``_bytes``.
 * Counts are plural nouns (``replicas``, ``calibration_images``) or
   explicit budgets (``queue_depth``, ``max_batch``).
-* Legacy spellings remain loadable as aliases for one release and warn.
 """
 
 from .loader import (

@@ -79,8 +79,7 @@ WORKLOAD_SCHEMA = ConfigSchema(
     WorkloadSpec,
     [
         FieldSpec("images", 32, doc="evaluation images drawn from the scenario"),
-        FieldSpec("data_seed", 7, aliases=("seed",),
-                  doc="seed of the workload draw"),
+        FieldSpec("data_seed", 7, doc="seed of the workload draw"),
         FieldSpec("batch_size", 128, doc="inference batch size"),
     ],
 )

@@ -7,8 +7,7 @@ the three serialisation concerns every config needs are derived once:
 * ``to_dict`` — a JSON-compatible snapshot whose key set and nesting are
   exactly the schema's field list (stable payloads, stable cache digests);
 * ``from_dict`` — reconstruction with unknown-key rejection (including a
-  did-you-mean suggestion), legacy-alias acceptance behind a
-  :class:`DeprecationWarning`, enum validation routed through the owning
+  did-you-mean suggestion), enum validation routed through the owning
   registry, and nested payload conversion;
 * ``describe`` — a machine-readable field table the CLI and docs render.
 
@@ -27,7 +26,6 @@ registered after import validate without the schema knowing about them.
 from __future__ import annotations
 
 import difflib
-import warnings
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -55,7 +53,7 @@ class ConfigError(ValueError):
 
 
 class UnknownKeyError(ConfigError):
-    """A mapping carried a key no field (or alias) of the schema accepts."""
+    """A mapping carried a key no field of the schema accepts."""
 
 
 class _Required:
@@ -87,8 +85,6 @@ class FieldSpec:
             key mandatory.  (Used for documentation and requiredness only —
             the target dataclass's own default fills absent optional keys,
             so the two never drift apart.)
-        aliases: Legacy key spellings accepted on load with a
-            :class:`DeprecationWarning`; never emitted.
         choices: Allowed values — a sequence, or a zero-argument callable
             returning one (evaluated per validation, so registry-backed
             enums see late registrations).
@@ -102,7 +98,6 @@ class FieldSpec:
 
     name: str
     default: Any = REQUIRED
-    aliases: Tuple[str, ...] = ()
     choices: Optional[Any] = None
     validate: Optional[Callable[[Any], Any]] = None
     to_payload: Optional[Callable[[Any], Any]] = None
@@ -138,16 +133,10 @@ class ConfigSchema:
         self.target = target
         self.fields: Tuple[FieldSpec, ...] = tuple(fields)
         self._by_name: Dict[str, FieldSpec] = {}
-        self._by_alias: Dict[str, FieldSpec] = {}
         for spec in self.fields:
             if spec.name in self._by_name:
                 raise ValueError(f"duplicate field {spec.name!r} in {name}")
             self._by_name[spec.name] = spec
-        for spec in self.fields:
-            for alias in spec.aliases:
-                if alias in self._by_name or alias in self._by_alias:
-                    raise ValueError(f"alias {alias!r} collides in {name}")
-                self._by_alias[alias] = spec
 
     # ------------------------------------------------------------------ dump
 
@@ -163,51 +152,27 @@ class ConfigSchema:
 
     # ------------------------------------------------------------------ load
 
-    def normalize(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
-        """Resolve aliases and reject unknown keys; values untouched.
+    def from_dict(self, payload: Mapping[str, Any]) -> Any:
+        """Build a validated *target* instance from a payload mapping.
 
-        Alias keys are rewritten to their canonical names with a
-        :class:`DeprecationWarning`.  A key that is neither a field nor an
-        alias raises :class:`UnknownKeyError`, with a did-you-mean
-        suggestion drawn from the canonical names.
+        A key that names no field raises :class:`UnknownKeyError`, with a
+        did-you-mean suggestion drawn from the field names.
         """
-        data: Dict[str, Any] = {}
-        for key, value in payload.items():
-            if key in self._by_name:
-                canonical = key
-            elif key in self._by_alias:
-                canonical = self._by_alias[key].name
-                warnings.warn(
-                    f"{self.name} key {key!r} is deprecated; "
-                    f"use {canonical!r}",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-            else:
+        for key in payload:
+            if key not in self._by_name:
                 raise UnknownKeyError(
                     f"unknown {self.name} key {key!r}"
                     + suggest(key, list(self._by_name))
                 )
-            if canonical in data:
-                raise ConfigError(
-                    f"{self.name} key {canonical!r} given twice "
-                    f"(alias and canonical spelling)"
-                )
-            data[canonical] = value
-        return data
-
-    def from_dict(self, payload: Mapping[str, Any]) -> Any:
-        """Build a validated *target* instance from a payload mapping."""
-        data = self.normalize(payload)
         kwargs: Dict[str, Any] = {}
         for spec in self.fields:
-            if spec.name not in data:
+            if spec.name not in payload:
                 if spec.required:
                     raise ConfigError(
                         f"{self.name} is missing required key {spec.name!r}"
                     )
                 continue  # let the dataclass default apply
-            value = data[spec.name]
+            value = payload[spec.name]
             if spec.from_payload is not None:
                 value = spec.from_payload(value)
             choices = spec.choice_values()
@@ -242,8 +207,6 @@ class ConfigSchema:
                 row["required"] = True
             else:
                 row["default"] = spec.default
-            if spec.aliases:
-                row["aliases"] = list(spec.aliases)
             choices = spec.choice_values()
             if choices is not None:
                 row["choices"] = list(choices)

@@ -234,8 +234,8 @@ class ArrayState:
         arrays (no copies), so an engine built on a tile view computes with
         the exact per-cell floats — including every variation draw — of the
         corresponding region of the full array.  This is what lets the tiled
-        chip simulator shard one monolithic layer state across a macro grid
-        while staying bit-identical to the monolithic execution.
+        chip simulator shard one full-layer state across a macro grid while
+        staying bit-identical to a single engine on that state.
         """
         if not 0 <= bank_start < bank_stop <= self.banks:
             raise ValueError(

@@ -22,23 +22,23 @@ Two kernel granularities exist:
 ``level="layer"``
     The kernel consumes the **whole batch of input values** at once and
     returns the per-block digital totals directly, free to reorganise the
-    entire pipeline for throughput.  ``"fused"`` (and the optional
-    ``"numba"`` variant) are layer kernels: they pack all bit planes into
-    stacked GEMM operands, run one BLAS call per 32-row block against
-    tables whose four physical columns are pre-combined where the design
-    allows it, and quantise/combine/shift-add with in-place array ops over
-    cache-resident block slices.
+    entire pipeline for throughput.  ``"fused"`` is the layer kernel: it
+    packs all bit planes into stacked GEMM operands, runs one BLAS call per
+    32-row block against tables whose four physical columns are
+    pre-combined where the design allows it, and quantises/combines/
+    shift-adds with in-place array ops over cache-resident block slices.
 
 Exactness
 ---------
 
 ``"fused"`` reproduces ``"turbo"`` bit for bit on both designs, calibrated
-and uncalibrated, tiled and monolithic: every floating-point difference it
-introduces lives in the analog voltage *before* ADC quantisation and is at
-ULP scale, far below an LSB (or the spacing of calibrated reference
-levels), so the quantised codes — and everything digital after them — are
-identical.  The golden-equivalence suite (``tests/chipsim/
-test_fused_kernel.py``) asserts ``array_equal`` across the whole matrix.
+and uncalibrated, on single engines and tile grids: every floating-point
+difference it introduces lives in the analog voltage *before* ADC
+quantisation and is at ULP scale, far below an LSB (or the spacing of
+calibrated reference levels), so the quantised codes — and everything
+digital after them — are identical.  The golden-equivalence suite
+(``tests/chipsim/test_fused_kernel.py``) asserts ``array_equal`` across the
+whole matrix.
 """
 
 from __future__ import annotations
@@ -407,106 +407,6 @@ def fused_block_totals(engine, values: np.ndarray, bits: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Optional numba backend.
-# --------------------------------------------------------------------------
-
-
-def _register_numba_kernel() -> bool:
-    """Register the ``"numba"`` layer kernel when numba is importable.
-
-    The container CI image deliberately does not pin numba (see
-    ``requirements-ci.txt``); environments that have it get a jit-compiled
-    replacement for the per-block BLAS call, reusing the fused readout /
-    quantisation pipeline for everything after the row reduction.
-    """
-    try:  # pragma: no cover - exercised only where numba is installed
-        import numba
-    except ImportError:
-        return False
-
-    @numba.njit(cache=True, fastmath=False)  # pragma: no cover
-    def _reduce_block(operand, table, out):
-        rows, inner = operand.shape
-        cols = table.shape[1]
-        for i in range(rows):
-            for c in range(cols):
-                acc = 0.0
-                for k in range(inner):
-                    acc += operand[i, k] * table[k, c]
-                out[i, c] = acc
-
-    def _numba_block_totals(engine, values, bits):  # pragma: no cover
-        # Same structure as fused_block_totals with the gemm swapped for
-        # the jitted reduction; carries the same ULP-class caveat (the
-        # sequential dot order differs from BLAS, absorbed by the ADC).
-        state = engine.state
-        batch = values.shape[1]
-        num_block_rows, block_rows = state.num_block_rows, state.block_rows
-        banks = state.banks
-        stacked_rows = bits * batch
-        curfe = state.design == CURFE_DESIGN
-        planes = np.empty((bits, batch, num_block_rows, block_rows))
-        for bit in range(bits):
-            planes[bit] = ((values >> bit) & 1).T.reshape(
-                batch, num_block_rows, block_rows
-            )
-        stacked = planes.reshape(stacked_rows, num_block_rows, block_rows)
-        keys = ("high", "low") if engine.weight_bits == 8 else ("high",)
-        macs = {key: np.empty((stacked_rows, banks)) for key in keys}
-        lines = [np.empty((stacked_rows, banks)) for _ in range(NUM_COLUMNS)]
-        block_totals = np.empty((num_block_rows, batch, banks))
-        plane_scaled = np.empty((batch, banks))
-        for j in range(num_block_rows):
-            operand = np.ascontiguousarray(stacked[:, j, :])
-            for key in keys:
-                group = state.group(key)
-                table, offsets = _fused_group_tables(engine, key)
-                out = macs[key]
-                if curfe:
-                    _reduce_block(operand, table[j], out)
-                    np.add(out, offsets[j], out=out)
-                    np.multiply(out, group.feedback_resistance, out=out)
-                    np.add(out, state.tia_virtual_ground, out=out)
-                    np.clip(out, state.tia_clamp_low, state.tia_clamp_high, out=out)
-                else:
-                    for column in range(NUM_COLUMNS):
-                        line = lines[column]
-                        _reduce_block(operand, table[column, j], line)
-                        np.add(line, offsets[column, j], out=line)
-                        np.add(line, state.precharge_voltage, out=line)
-                        np.clip(line, 0.0, state.sign_supply_voltage, out=line)
-                        np.multiply(line, group.capacitance[:, j, column], out=line)
-                    np.add(lines[0], lines[1], out=out)
-                    np.add(out, lines[2], out=out)
-                    np.add(out, lines[3], out=out)
-                    np.divide(out, group.capacitance_total[:, j], out=out)
-                quantizer = engine._calibrated.get(key) or engine._quantizers[key]
-                _quantize_macs_inplace(quantizer, out)
-            combined = macs["high"]
-            if engine.weight_bits == 8:
-                np.multiply(combined, 16.0, out=combined)
-                np.add(combined, macs["low"], out=combined)
-            per_bit = combined.reshape(bits, batch, banks)
-            accumulator = block_totals[j]
-            accumulator[...] = 0.0
-            for bit in range(bits):
-                np.multiply(per_bit[bit], float(2**bit), out=plane_scaled)
-                np.add(accumulator, plane_scaled, out=accumulator)
-        return np.ascontiguousarray(block_totals.transpose(1, 2, 0))
-
-    register_kernel(
-        Kernel(
-            name="numba",
-            level="layer",
-            description="fused pipeline with a jit-compiled row reduction",
-            block_totals=_numba_block_totals,
-        ),
-        replace=True,
-    )
-    return True
-
-
-# --------------------------------------------------------------------------
 # Built-in registrations.
 # --------------------------------------------------------------------------
 
@@ -543,6 +443,3 @@ register_kernel(
         block_totals=fused_block_totals,
     )
 )
-
-#: Whether the optional numba backend registered at import time.
-NUMBA_KERNEL_AVAILABLE = _register_numba_kernel()

@@ -37,9 +37,9 @@ Tiling support
 :meth:`MacroEngine.matmat_blocks` exposes the per-block-row digital totals
 *before* the cross-block accumulation.  A caller sharding a layer across
 row tiles (see :mod:`repro.chipsim`) can then accumulate the blocks of all
-tiles in global block order — reproducing the monolithic accumulation
+tiles in global block order — reproducing a single engine's accumulation
 nesting exactly, which is what keeps tiled execution bit-identical to one
-oversized macro.
+macro holding the whole padded layer.
 
 Workload-calibrated references
 ------------------------------
@@ -340,7 +340,7 @@ class MacroEngine:
 
         After this call the first request served by the engine runs the hot
         path only — no lazy operand-table or LUT population.  Layer-level
-        kernels (``"fused"``/``"numba"``) get their fused gemm tables,
+        kernels (``"fused"``) get their fused gemm tables,
         plane-level ``"turbo"`` its stacked difference tables, other plane
         kernels the selected-contribution tensor; the bucketed calibrated-
         search LUT is built for every calibrated quantiser.
@@ -438,7 +438,7 @@ class MacroEngine:
         Used directly by the tiled path, which computes one level set for
         the whole layer and applies it *identically* to every row / column
         tile — the nominal-reference analogue of sharing one quantiser —
-        so tiled and monolithic execution stay bit-identical under
+        so tiled execution stays bit-identical to a single engine under
         calibration.
 
         Args:
@@ -635,7 +635,7 @@ class MacroEngine:
         step.  :meth:`matmat` equals these totals accumulated sequentially
         over the block-row axis; a tiled caller accumulating the blocks of
         several row-tile engines in global block order therefore reproduces
-        a monolithic engine bit for bit.
+        a single engine over all those rows bit for bit.
 
         Args:
             inputs: Integer array of shape (rows, batch); see :meth:`matmat`.

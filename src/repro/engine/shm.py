@@ -31,7 +31,6 @@ to pickled payloads).
 
 from __future__ import annotations
 
-import atexit
 import errno
 import hashlib
 import json
@@ -46,6 +45,8 @@ import numpy as np
 
 from ..obs.metrics import REGISTRY
 from .array_state import ArrayState
+
+from multiprocessing import util as mp_util
 
 try:  # pragma: no cover - import failure exercised via monkeypatching
     from multiprocessing import resource_tracker, shared_memory
@@ -461,6 +462,8 @@ def host_shared_arrays(
             arena = SharedArena.create(arrays, meta=meta, name=name)
         except FileExistsError:
             continue  # lost the creation race — attach to the winner's copy
-        atexit.register(arena.unlink)
+        # Unlike atexit, a multiprocessing finalizer also runs when a
+        # process-pool worker exits, so worker-created arenas do not leak.
+        mp_util.Finalize(None, arena.unlink, exitpriority=0)
         return arena.arrays(), arena
     return loader(), None  # pragma: no cover - repeated create/attach races

@@ -27,7 +27,7 @@ reference levels with a Lloyd-Max (1-D k-means) iteration
 collection are one shared code path, references computed by the
 functional model and by the device engine from the same samples are
 *identical* — and a tiled layer applying one level set to every row /
-column tile stays bit-identical to the monolithic macro.
+column tile stays bit-identical to a single macro holding the padded layer.
 """
 
 from __future__ import annotations

@@ -183,9 +183,7 @@ class ServeConfig:
     def from_dict(cls, payload: Mapping[str, Any]) -> "ServeConfig":
         """Rebuild a config from a :meth:`to_dict` payload.
 
-        Unknown keys raise with a did-you-mean suggestion; deprecated
-        aliases (``pool_mode``, ``max_wait``, ``service_delay``,
-        ``transport``) load with a :class:`DeprecationWarning`.
+        Unknown keys raise with a did-you-mean suggestion.
         """
         return SERVE_SCHEMA.from_dict(payload)
 
@@ -213,8 +211,7 @@ SERVE_SCHEMA = ConfigSchema(
         FieldSpec("input_bits", 4, doc="activation precision (unsigned)"),
         FieldSpec("weight_bits", 8, doc="weight precision (signed)"),
         FieldSpec("adc_bits", 5, doc="SAR ADC resolution (required concrete)"),
-        FieldSpec("device_exec", "turbo", aliases=("kernel",),
-                  validate=validate_device_exec,
+        FieldSpec("device_exec", "turbo", validate=validate_device_exec,
                   doc="device-backend kernel from the engine registry"),
         FieldSpec("calibration", "workload", choices=CALIBRATION_MODES,
                   doc="ADC reference placement at program-build time"),
@@ -223,18 +220,17 @@ SERVE_SCHEMA = ConfigSchema(
         FieldSpec("calibration_images", 32,
                   doc="images in the one-off calibration batch"),
         FieldSpec("replicas", 1, doc="warm chip replicas in the pool"),
-        FieldSpec("pool", "thread", aliases=("pool_mode",),
-                  choices=POOL_MODES, doc="replica pool execution mode"),
+        FieldSpec("pool", "thread", choices=POOL_MODES,
+                  doc="replica pool execution mode"),
         FieldSpec("max_batch", 8, doc="micro-batch size cap"),
-        FieldSpec("max_wait_s", 0.0, aliases=("max_wait",),
+        FieldSpec("max_wait_s", 0.0,
                   doc="batch hold-open window once a replica is free"),
         FieldSpec("queue_depth", 256, doc="request queue bound"),
         FieldSpec("backpressure", "block", choices=BACKPRESSURE_POLICIES,
                   doc="full-queue policy"),
-        FieldSpec("service_delay_s", 0.0, aliases=("service_delay",),
+        FieldSpec("service_delay_s", 0.0,
                   doc="artificial extra service time per batch (testing)"),
-        FieldSpec("program_transport", "auto", aliases=("transport",),
-                  choices=PROGRAM_TRANSPORTS,
+        FieldSpec("program_transport", "auto", choices=PROGRAM_TRANSPORTS,
                   doc="how process-pool workers receive the program"),
         FieldSpec("metrics_port", None,
                   doc="Prometheus /metrics port (null = off, 0 = ephemeral)"),

@@ -3,9 +3,9 @@
 The paper's headline results are trade-off curves — accuracy vs ADC bits,
 energy / latency vs mapping — and this subsystem makes every such curve one
 declarative object: a :class:`SweepSpec` names the grid axes (scenario ×
-design × backend × precision × ADC resolution × calibration × tiling ×
-kernel), :class:`SweepRunner` shards the expanded jobs across worker
-processes with deterministic per-job seeds, and a content-addressed
+design × backend × precision × ADC resolution × calibration × kernel),
+:class:`SweepRunner` shards the expanded jobs across worker processes
+with deterministic per-job seeds, and a content-addressed
 :class:`SweepCache` shares trained weights, programmed cell state, and
 calibrated ADC references between jobs that agree on the relevant content
 (so the 5-bit and nominal variants of one scenario never recompute

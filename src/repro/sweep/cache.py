@@ -12,8 +12,8 @@ jobs, worker processes, and whole sweep runs:
     The characterised per-cell array state of every weight layer
     (:class:`~repro.engine.ArrayState` tensors), keyed by the model's
     quantised weights plus the programming-relevant config fields —
-    *not* ``adc_bits`` / ``calibration`` / ``tiling`` / ``device_exec``,
-    none of which affect cell characterisation.  This is why the 5-bit and
+    *not* ``adc_bits`` / ``calibration`` / ``device_exec``, none of which
+    affect cell characterisation.  This is why the 5-bit and
     nominal variants of a scenario do not recompute programming.
 ``calibration``
     The workload-calibrated ADC reference levels per layer, keyed by the
@@ -84,14 +84,12 @@ def model_key(scenario: str, params: Mapping[str, object], seed: int) -> str:
 def _programming_config_payload(config: InferenceConfig) -> Dict[str, object]:
     """The config fields that influence cell characterisation/programming.
 
-    ``adc_bits``, ``calibration``, ``tiling``, and ``device_exec`` are
-    deliberately absent: the programmed cell state is identical across
-    them (the tiled engines are views of the monolithic state).
+    ``adc_bits``, ``calibration`` and ``device_exec`` are deliberately
+    absent: the programmed cell state is identical across them.
     """
     payload = config.to_dict()
     for key in ("adc_bits", "calibration", "calibration_samples",
-                "device_exec", "tiling", "tile_workers", "input_bits",
-                "backend"):
+                "device_exec", "input_bits", "backend"):
         payload.pop(key)
     return payload
 
@@ -117,16 +115,12 @@ def calibration_key(
 
     The full config matters (a layer's calibration batch is shaped by every
     upstream layer's ADC), as does the workload (first batch = calibration
-    set, hence ``batch_size``).  ``tiling`` is dropped: tiled and monolithic
-    execution are bit-identical, so their levels are too.
+    set, hence ``batch_size``).
     """
-    payload = config.to_dict()
-    payload.pop("tiling")
-    payload.pop("tile_workers")
     return digest_payload(
         {
             "kind": "calibration",
-            "config": payload,
+            "config": config.to_dict(),
             "weights": weights_digest,
             "workload": workload_digest,
             "batch_size": batch_size,

@@ -250,7 +250,6 @@ def _run_job_body(
         "weight_bits": job.config["weight_bits"],
         "adc_bits": job.config["adc_bits"],
         "calibration": job.config["calibration"],
-        "tiling": job.config["tiling"],
         "device_exec": job.config["device_exec"],
         "seed": job.config["seed"],
         "data_seed": job.data_seed,

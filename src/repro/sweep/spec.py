@@ -2,14 +2,14 @@
 
 A :class:`SweepSpec` names the axes of a design-space exploration — which
 scenarios, designs, execution backends, precisions, ADC resolutions,
-calibration modes, tilings, and engine kernels — plus the shared workload
+calibration modes, and engine kernels — plus the shared workload
 parameters (image count, seeds, variation, geometry).  :meth:`SweepSpec.expand`
 turns the grid into a deterministic, de-duplicated list of
 :class:`SweepJob` descriptors that the :class:`~repro.sweep.runner.SweepRunner`
 shards across worker processes.
 
 Axes that do not apply to a backend are *collapsed* rather than multiplied:
-a functional-backend job ignores the tiling / device-kernel axes, and an
+a functional-backend job ignores the device-kernel axis, and an
 analytic job (shape-level performance model, no runtime inference)
 additionally ignores calibration — so a grid mixing backends never contains
 duplicate work.  Spec-only scenarios (e.g. ``resnet18_cifar10``) pair only
@@ -43,7 +43,6 @@ __all__ = ["SweepJob", "SweepSpec", "SWEEP_SCHEMA", "BACKENDS"]
 BACKENDS = ("device", "functional", "analytic")
 
 #: Canonical values of the axes a backend ignores (collapsed on expansion).
-_COLLAPSED_TILING = "tiled"
 _COLLAPSED_EXEC = "fast"
 _COLLAPSED_CALIBRATION = "workload"
 
@@ -103,7 +102,6 @@ class SweepSpec:
         precisions: ``(input_bits, weight_bits)`` pairs.
         adc_bits: ADC resolutions.
         calibrations: ``"workload"`` / ``"nominal"`` axis (inference only).
-        tilings: ``"tiled"`` / ``"monolithic"`` axis (device only).
         device_execs: Engine kernel names (device only), validated against
             the :mod:`repro.engine.kernels` registry — e.g. ``"fast"``,
             ``"turbo"``, ``"fused"``.
@@ -115,7 +113,6 @@ class SweepSpec:
         calibration_samples: Per-layer calibration budget.
         variation: Device-variation statistics.
         geometry: Macro geometry.
-        tile_workers: Intra-layer tile threads (kept at 0 = auto).
     """
 
     scenarios: Tuple[str, ...]
@@ -124,7 +121,6 @@ class SweepSpec:
     precisions: Tuple[Tuple[int, int], ...] = ((4, 8),)
     adc_bits: Tuple[int, ...] = (5,)
     calibrations: Tuple[str, ...] = ("workload",)
-    tilings: Tuple[str, ...] = ("tiled",)
     device_execs: Tuple[str, ...] = ("fast",)
     images: int = 8
     batch_size: int = 128
@@ -132,12 +128,11 @@ class SweepSpec:
     calibration_samples: int = 4096
     variation: VariationModel = DEFAULT_VARIATION
     geometry: MacroGeometry = DEFAULT_GEOMETRY
-    tile_workers: int = 0
 
     def __post_init__(self) -> None:
         for axis_name in (
             "scenarios", "backends", "designs", "precisions", "adc_bits",
-            "calibrations", "tilings", "device_execs",
+            "calibrations", "device_execs",
         ):
             axis = getattr(self, axis_name)
             if not isinstance(axis, tuple):
@@ -172,9 +167,7 @@ class SweepSpec:
     def from_dict(cls, payload: Mapping[str, Any]) -> "SweepSpec":
         """Rebuild a spec from its :meth:`to_dict` payload.
 
-        Unknown keys raise with a did-you-mean suggestion; the deprecated
-        ``kernels`` alias for ``device_execs`` is accepted with a
-        :class:`DeprecationWarning`.
+        Unknown keys raise with a did-you-mean suggestion.
         """
         return SWEEP_SCHEMA.from_dict(payload)
 
@@ -206,17 +199,15 @@ class SweepSpec:
                     for input_bits, weight_bits in self.precisions:
                         for adc in self.adc_bits:
                             for calibration in self.calibrations:
-                                for tiling in self.tilings:
-                                    for device_exec in self.device_execs:
-                                        job = self._make_job(
-                                            scenario_name, backend, design,
-                                            int(input_bits), int(weight_bits),
-                                            int(adc), calibration, tiling,
-                                            device_exec,
-                                        )
-                                        if job.job_id not in seen:
-                                            seen.add(job.job_id)
-                                            jobs.append(job)
+                                for device_exec in self.device_execs:
+                                    job = self._make_job(
+                                        scenario_name, backend, design,
+                                        int(input_bits), int(weight_bits),
+                                        int(adc), calibration, device_exec,
+                                    )
+                                    if job.job_id not in seen:
+                                        seen.add(job.job_id)
+                                        jobs.append(job)
         if not jobs:
             raise ValueError(
                 "the sweep grid expanded to zero jobs (spec-only scenarios "
@@ -233,12 +224,10 @@ class SweepSpec:
         weight_bits: int,
         adc: int,
         calibration: str,
-        tiling: str,
         device_exec: str,
     ) -> SweepJob:
         """Resolve one grid point, collapsing inapplicable axes."""
         if backend != "device":
-            tiling = _COLLAPSED_TILING
             device_exec = _COLLAPSED_EXEC
         if backend == "analytic":
             calibration = _COLLAPSED_CALIBRATION
@@ -247,11 +236,10 @@ class SweepSpec:
         if backend != "analytic":
             segments.append(calibration)
         if backend == "device":
-            segments.extend([tiling, device_exec])
+            segments.append(device_exec)
         config = InferenceConfig(
             design=design,
             backend="functional" if backend == "analytic" else backend,
-            tiling=tiling,
             device_exec=device_exec,
             input_bits=input_bits,
             weight_bits=weight_bits,
@@ -259,7 +247,6 @@ class SweepSpec:
             geometry=self.geometry,
             variation=self.variation,
             seed=self.seed,
-            tile_workers=self.tile_workers,
             calibration=calibration,
             calibration_samples=self.calibration_samples,
         )
@@ -314,10 +301,8 @@ SWEEP_SCHEMA = ConfigSchema(
         FieldSpec("calibrations", ("workload",), to_payload=list,
                   from_payload=_axis,
                   doc="ADC calibration-mode axis (inference backends)"),
-        FieldSpec("tilings", ("tiled",), to_payload=list, from_payload=_axis,
-                  doc="device-backend layout axis"),
-        FieldSpec("device_execs", ("fast",), aliases=("kernels",),
-                  to_payload=list, from_payload=_axis,
+        FieldSpec("device_execs", ("fast",), to_payload=list,
+                  from_payload=_axis,
                   doc="device-kernel axis from the engine registry"),
         FieldSpec("images", 8, doc="workload images per job"),
         FieldSpec("batch_size", 128, doc="inference batch size"),
@@ -334,7 +319,5 @@ SWEEP_SCHEMA = ConfigSchema(
                   from_payload=lambda p: (
                       MacroGeometry(**p) if isinstance(p, Mapping) else p),
                   doc="macro geometry"),
-        FieldSpec("tile_workers", 0,
-                  doc="threads per tiled layer matmul (0 = auto)"),
     ],
 )

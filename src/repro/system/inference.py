@@ -16,20 +16,16 @@ Two backends execute the layer matmuls:
   :class:`~repro.core.functional.FunctionalIMCModel`, device variation
   folded into per-significance statistics; fastest.
 * ``backend="device"`` — the device-detailed
-  :class:`~repro.engine.MacroEngine`, in one of two tilings:
-
-  * ``tiling="tiled"`` (default) — the layer's weight matrix is sharded
-    across a grid of real macro tiles by
-    :class:`~repro.chipsim.TiledLayerEngine`: row tiles accumulate digital
-    partial sums in global block order, column tiles own disjoint output
-    channels.  This is the same hardware the system performance model
-    prices, and it emits per-tile activity counts for the
-    :class:`~repro.chipsim.ChipSimulator` co-report.  Bit-identical to the
-    monolithic path by construction (the tile engines are views of the
-    monolithic array state).
-  * ``tiling="monolithic"`` — the single oversized macro of PR 1 (rows
-    zero-padded up to whole 32-row blocks, one bank per output column);
-    kept as the golden-equivalence reference.
+  :class:`~repro.engine.MacroEngine`, with each layer's weight matrix
+  sharded across a grid of real macro tiles by
+  :class:`~repro.chipsim.TiledLayerEngine`: row tiles accumulate digital
+  partial sums in global block order, column tiles own disjoint output
+  channels.  This is the same hardware the system performance model
+  prices, and it emits per-tile activity counts for the
+  :class:`~repro.chipsim.ChipSimulator` co-report.  The tile engines are
+  views of one full-layer array state, so the grid computes exactly what a
+  single macro holding the zero-padded layer would (a test-enforced
+  equivalence).
 
 Both backends programme their per-layer ADC references from the workload by
 default (``calibration="workload"``): the first batch of each layer acts as
@@ -70,7 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 __all__ = ["InferenceConfig", "QuantizedInferenceEngine", "INFERENCE_SCHEMA"]
 
 _BACKENDS = ("functional", "device")
-_TILINGS = ("tiled", "monolithic")
 
 
 @dataclass(frozen=True)
@@ -82,8 +77,6 @@ class InferenceConfig:
         backend: ``"functional"`` (statistical, fastest) or ``"device"``
             (per-cell device-detailed engine; requires a concrete design and
             an ADC resolution).
-        tiling: Device-backend execution layout — ``"tiled"`` (macro grid,
-            default) or ``"monolithic"`` (single oversized macro).
         device_exec: Execution kernel of the device backend, resolved
             against the :mod:`repro.engine.kernels` registry: ``"exact"``,
             ``"fast"`` (default), ``"turbo"`` (cached BLAS operands;
@@ -101,8 +94,6 @@ class InferenceConfig:
             the geometry cannot silently fork.
         variation: Device-variation statistics.
         seed: Seed of the per-layer programming-variation draws.
-        tile_workers: Worker threads per tiled layer matmul (0 = auto:
-            serial on single-core hosts, one thread per core otherwise).
         calibration: ADC reference placement — ``"workload"`` (default)
             programs each layer's reference bank to the Lloyd-Max levels of
             the partial sums its first batch produces
@@ -116,7 +107,6 @@ class InferenceConfig:
 
     design: str = "curfe"
     backend: str = "functional"
-    tiling: str = "tiled"
     device_exec: str = "fast"
     input_bits: int = 4
     weight_bits: int = 8
@@ -125,15 +115,12 @@ class InferenceConfig:
     rows_per_block: Optional[int] = None
     variation: VariationModel = DEFAULT_VARIATION
     seed: int = 0
-    tile_workers: int = 0
     calibration: str = "workload"
     calibration_samples: int = 4096
 
     def __post_init__(self) -> None:
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}")
-        if self.tiling not in _TILINGS:
-            raise ValueError(f"tiling must be one of {_TILINGS}")
         validate_device_exec(self.device_exec)
         if self.calibration not in CALIBRATION_MODES:
             raise ValueError(f"calibration must be one of {CALIBRATION_MODES}")
@@ -148,8 +135,6 @@ class InferenceConfig:
                 "geometry is the single source of truth — override the "
                 "MacroGeometry instead"
             )
-        if self.tile_workers < 0:
-            raise ValueError("tile_workers must be non-negative")
         if self.backend == "device":
             if self.design == "ideal":
                 raise ValueError(
@@ -195,8 +180,7 @@ class InferenceConfig:
 
         Unknown keys raise with a did-you-mean suggestion — a payload
         produced by a newer schema should fail loudly rather than silently
-        drop configuration.  Deprecated aliases (e.g. ``kernel`` for
-        ``device_exec``) are accepted with a :class:`DeprecationWarning`.
+        drop configuration.
         """
         return INFERENCE_SCHEMA.from_dict(payload)
 
@@ -212,10 +196,7 @@ INFERENCE_SCHEMA = ConfigSchema(
                   doc="IMC macro design (ideal = plain integer baseline)"),
         FieldSpec("backend", "functional", choices=_BACKENDS,
                   doc="layer-matmul execution backend"),
-        FieldSpec("tiling", "tiled", choices=_TILINGS,
-                  doc="device-backend layout (macro grid vs one macro)"),
-        FieldSpec("device_exec", "fast", aliases=("kernel",),
-                  validate=validate_device_exec,
+        FieldSpec("device_exec", "fast", validate=validate_device_exec,
                   doc="device-backend kernel from the engine registry"),
         FieldSpec("input_bits", 4, doc="activation precision (unsigned)"),
         FieldSpec("weight_bits", 8, doc="weight precision (signed)"),
@@ -232,8 +213,6 @@ INFERENCE_SCHEMA = ConfigSchema(
                       VariationModel(**p) if isinstance(p, Mapping) else p),
                   doc="device-variation statistics"),
         FieldSpec("seed", 0, doc="programming-variation seed"),
-        FieldSpec("tile_workers", 0,
-                  doc="threads per tiled layer matmul (0 = auto)"),
         FieldSpec("calibration", "workload", choices=CALIBRATION_MODES,
                   doc="ADC reference placement mode"),
         FieldSpec("calibration_samples", 4096,
@@ -267,10 +246,21 @@ class _QuantizedLayer:
         #: Scale used by the most recent matmul (frozen or computed).
         self.last_scale: Optional[float] = None
         if config.backend == "device":
-            if config.tiling == "tiled":
-                self.engine = self._build_tiled_engine(weight_int, config, rng, state)
-            else:
-                self.engine = self._build_device_engine(weight_int, config, rng, state)
+            from ..chipsim.tiling import TiledLayerEngine
+
+            # A prebuilt ``state`` (e.g. restored from the sweep cache)
+            # skips characterisation and its generator consumption.
+            self.engine = TiledLayerEngine(
+                weight_int,
+                design=config.design,
+                geometry=config.geometry,
+                adc_bits=config.adc_bits,
+                weight_bits=config.weight_bits,
+                variation=config.variation,
+                seed=config.seed,
+                rng=rng,
+                state=state,
+            )
         else:
             if state is not None:
                 raise ValueError(
@@ -280,26 +270,17 @@ class _QuantizedLayer:
             self.engine.program(weight_int)
 
     @property
-    def tiled_engine(self):
-        """The layer's :class:`~repro.chipsim.TiledLayerEngine`, or None."""
-        from ..chipsim.tiling import TiledLayerEngine
-
-        return self.engine if isinstance(self.engine, TiledLayerEngine) else None
-
-    @property
     def array_state(self):
         """The layer's full device :class:`~repro.engine.ArrayState`, or None.
 
-        For the tiled engine this is the monolithic state every tile views;
-        for the monolithic engine it is the engine's own state.  Functional
+        This is the full-layer state every tile engine views.  Functional
         layers have no per-cell state and return None.  The sweep cache
         (:mod:`repro.sweep.cache`) harvests these arrays after a build and
         injects them back on later runs.
         """
         if self.config.backend != "device":
             return None
-        tiled = self.tiled_engine
-        return tiled.array_state if tiled is not None else self.engine.state
+        return self.engine.array_state
 
     def apply_calibration(self, levels: Dict[str, np.ndarray]) -> None:
         """Program explicit reference levels and mark the layer calibrated.
@@ -319,111 +300,20 @@ class _QuantizedLayer:
         levels = getattr(self.engine, "reference_levels", None)
         return levels
 
-    def _build_tiled_engine(
-        self,
-        weight_int: np.ndarray,
-        config: InferenceConfig,
-        rng: np.random.Generator,
-        state: Optional["ArrayState"] = None,
-    ):
-        """Shard the layer across a grid of real macro tiles.
-
-        The full layer state is characterised with the exact generator
-        consumption of the monolithic build, then viewed per tile, so the
-        tiled execution is bit-identical to the single-macro path (and the
-        variation stream seen by subsequent layers is unchanged).  A
-        prebuilt ``state`` (e.g. restored from the sweep cache) skips the
-        characterisation — and its generator consumption — entirely.
-        """
-        from ..chipsim.tiling import TiledLayerEngine
-
-        return TiledLayerEngine(
-            weight_int,
-            design=config.design,
-            geometry=config.geometry,
-            adc_bits=config.adc_bits,
-            weight_bits=config.weight_bits,
-            variation=config.variation,
-            seed=config.seed,
-            rng=rng,
-            workers=config.tile_workers,
-            state=state,
-        )
-
-    def _build_device_engine(
-        self,
-        weight_int: np.ndarray,
-        config: InferenceConfig,
-        rng: np.random.Generator,
-        state: Optional["ArrayState"] = None,
-    ):
-        """Map the layer onto a single device-detailed monolithic macro.
-
-        The weight rows are zero-padded up to whole analog blocks — the
-        padding cells physically exist (programmed to zero, never selected)
-        and contribute their unselected leakage, exactly as unused rows of a
-        real macro would.  A prebuilt ``state`` skips characterisation.
-        """
-        from ..core.macro import IMCMacroConfig
-        from ..engine.array_state import ArrayState
-        from ..engine.macro_engine import MacroEngine
-
-        rows, cols = weight_int.shape
-        block = config.rows_per_block
-        self._device_rows = rows
-        self._device_padded_rows = ((rows + block - 1) // block) * block
-        padded = np.zeros((self._device_padded_rows, cols), dtype=np.int64)
-        padded[:rows] = weight_int
-        if state is None:
-            macro_config = IMCMacroConfig(
-                rows=self._device_padded_rows,
-                banks=cols,
-                block_rows=block,
-                adc_bits=config.adc_bits,
-                weight_bits=config.weight_bits,
-                variation=config.variation,
-                seed=config.seed,
-            )
-            state = ArrayState.build(config.design, macro_config, rng=rng)
-        elif state.rows != self._device_padded_rows or state.banks != cols:
-            raise ValueError(
-                f"prebuilt state is {state.rows}x{state.banks}, layer "
-                f"{self.name!r} needs {self._device_padded_rows}x{cols}"
-            )
-        engine = MacroEngine(
-            state, adc_bits=config.adc_bits, weight_bits=config.weight_bits
-        )
-        engine.program_weights(padded)
-        return engine
-
-    def _pad_device_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Zero-pad activation codes up to the monolithic macro's block rows."""
-        padded = np.zeros(
-            (codes.shape[0], self._device_padded_rows), dtype=np.int64
-        )
-        padded[:, : self._device_rows] = codes
-        return padded
-
     def _calibrate_from_batch(self, codes: np.ndarray) -> None:
         """Programme this layer's reference bank from its first batch.
 
         The first batch acts as the calibration set (bounded by the
         configured sample budget), mirroring how the FeFET reference bank
         is written to span the useful ADC input range.  Both backends use
-        the shared placement maths of :mod:`repro.quant.calibration`; on
-        the device path the monolithic and tiled engines derive identical
-        layer-wide levels, so the tiled-vs-monolithic bit-identity holds
-        under calibration too.
+        the shared placement maths of :mod:`repro.quant.calibration`; the
+        device path derives one layer-wide level set for every tile.
         """
         budget = codes[: min(len(codes), self.config.calibration_samples)]
-        if self.config.backend != "device":
-            self.engine.calibrate_adc_ranges(budget)
-        elif self.config.tiling == "tiled":
+        if self.config.backend == "device":
             self.engine.calibrate_references(budget.T, bits=self.config.input_bits)
         else:
-            self.engine.calibrate_references(
-                self._pad_device_codes(budget).T, bits=self.config.input_bits
-            )
+            self.engine.calibrate_adc_ranges(budget)
 
     def matmul(self, activations: np.ndarray, activation_scale: float) -> np.ndarray:
         """Quantise activations, run the IMC matmul, and dequantise the result."""
@@ -437,16 +327,10 @@ class _QuantizedLayer:
             self._calibrate_from_batch(codes)
             self._adc_calibrated = True
         if self.config.backend == "device":
-            if self.config.tiling == "tiled":
-                raw = self.engine.matmat(
-                    codes.T, bits=self.config.input_bits,
-                    method=self.config.device_exec,
-                ).T
-            else:
-                raw = self.engine.matmat(
-                    self._pad_device_codes(codes).T, bits=self.config.input_bits,
-                    method=self.config.device_exec,
-                ).T
+            raw = self.engine.matmat(
+                codes.T, bits=self.config.input_bits,
+                method=self.config.device_exec,
+            ).T
         else:
             raw = self.engine.matmul(codes)
         return raw * self.weight_scale * activation_scale + self.bias

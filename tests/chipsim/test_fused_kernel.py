@@ -2,9 +2,9 @@
 
 The golden contract of the kernel-dispatch layer: ``device_exec="fused"``
 must be ``array_equal`` to ``"turbo"`` everywhere it can run — both
-designs, calibrated and uncalibrated, tiled and monolithic, raw engine
-matmats and full scenario inference — and a serving deployment built on a
-fused program must reproduce its own offline :meth:`ChipSimulator.run`
+designs, calibrated and uncalibrated, tile grids and single engines, raw
+engine matmats and full scenario inference — and a serving deployment built
+on a fused program must reproduce its own offline :meth:`ChipSimulator.run`
 bit-for-bit.  Activity counters are a property of the simulated chip, not
 of the host kernel, so fused and turbo must report identical counts.
 """
@@ -122,16 +122,15 @@ class TestScenarioBitIdentity:
         rng = np.random.default_rng(7)
         return rng.random((4, 3, 16, 16))
 
-    @pytest.mark.parametrize("tiling", ["tiled", "monolithic"])
     @pytest.mark.parametrize("calibration", ["workload", "nominal"])
-    def test_smallcnn_fused_equals_turbo(self, small_images, tiling, calibration):
+    def test_smallcnn_fused_equals_turbo(self, small_images, calibration):
         model = SmallCNN(seed=0)
         logits = {}
         for device_exec in ("turbo", "fused"):
             engine = QuantizedInferenceEngine(
                 model,
                 InferenceConfig(
-                    design="curfe", backend="device", tiling=tiling,
+                    design="curfe", backend="device",
                     device_exec=device_exec, calibration=calibration,
                     variation=DEFAULT_VARIATION, seed=2,
                 ),

@@ -50,7 +50,7 @@ def test_prebuilt_states_are_adopted_not_rebuilt(
         scenario_model, design="curfe", adc_bits=5, layer_states=states
     )
     for name, quantized in warm.inference.quantized_layers.items():
-        assert quantized.tiled_engine.array_state is states[name]
+        assert quantized.engine.array_state is states[name]
     np.testing.assert_array_equal(
         warm.run(workload).predictions, cold_simulator.run(workload).predictions
     )

@@ -80,35 +80,51 @@ class TestKindDispatch:
             parse_document({"kind": "serve", "serve": {"replcias": 2}})
 
 
-class TestDeprecatedAliases:
-    def test_serve_aliases_warn_and_map(self):
-        with pytest.warns(DeprecationWarning):
-            document = parse_document(
-                {"kind": "serve", "serve": {"pool_mode": "thread",
-                                            "max_wait": 0.5}}
-            )
-        assert document.serve.pool == "thread"
-        assert document.serve.max_wait_s == 0.5
+#: Document section -> (kind, the rest of a minimal document, the section's
+#: required keys, its direct ``from_dict`` loader or None).
+_SECTIONS = {
+    "inference": ("run", {"scenario": "tiny_mlp"}, {}, InferenceConfig.from_dict),
+    "workload": ("run", {"scenario": "tiny_mlp"}, {}, None),
+    "spec": ("sweep", {}, {"scenarios": ["tiny_mlp"]}, SweepSpec.from_dict),
+    "serve": ("serve", {}, {}, ServeConfig.from_dict),
+}
 
-    def test_inference_kernel_alias(self):
-        with pytest.warns(DeprecationWarning, match="kernel"):
-            config = InferenceConfig.from_dict({"kernel": "turbo"})
-        assert config.device_exec == "turbo"
 
-    def test_sweep_kernels_alias(self):
-        with pytest.warns(DeprecationWarning, match="kernels"):
-            spec = SweepSpec.from_dict(
-                {"scenarios": ["tiny_mlp"], "kernels": ["turbo"]}
-            )
-        assert spec.device_execs == ("turbo",)
+class TestRemovedKeys:
+    @pytest.mark.parametrize(
+        "section, key, value, hint",
+        [
+            ("inference", "kernel", "turbo", None),
+            ("inference", "tiling", "monolithic", None),
+            ("inference", "tile_workers", 2, None),
+            ("spec", "kernels", ["turbo"], None),
+            ("spec", "tilings", ["tiled"], None),
+            ("spec", "tile_workers", 2, None),
+            ("serve", "kernel", "turbo", None),
+            ("serve", "pool_mode", "thread", "pool"),
+            ("serve", "max_wait", 0.5, "max_wait_s"),
+            ("serve", "service_delay", 0.1, "service_delay_s"),
+            ("serve", "transport", "pickle", "program_transport"),
+            ("workload", "seed", 11, "data_seed"),
+        ],
+    )
+    def test_removed_key_raises_unknown_key(self, section, key, value, hint):
+        """Expired aliases and the layout knobs are unknown keys everywhere."""
+        from repro.config import dump_yaml
 
-    def test_workload_seed_alias(self):
-        with pytest.warns(DeprecationWarning, match="seed"):
-            document = parse_document(
-                {"kind": "run", "scenario": "tiny_mlp",
-                 "workload": {"seed": 11}}
-            )
-        assert document.workload.data_seed == 11
+        kind, rest, required, from_dict = _SECTIONS[section]
+        body = {**required, key: value}
+        text = dump_yaml({"kind": kind, **rest, section: body})
+        loads = [lambda: parse_document(loads_config(text))]
+        if from_dict is not None:
+            loads.append(lambda: from_dict(body))
+        for load in loads:
+            with pytest.raises(UnknownKeyError, match=repr(key)) as info:
+                load()
+            if hint is None:
+                assert "did you mean" not in str(info.value)
+            else:
+                assert f"did you mean {hint!r}" in str(info.value)
 
 
 class TestExampleConfigs:

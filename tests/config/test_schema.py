@@ -1,4 +1,4 @@
-"""The ConfigSchema protocol: typing, aliases, did-you-mean, registries."""
+"""The ConfigSchema protocol: typing, did-you-mean, registries."""
 
 from dataclasses import dataclass
 from typing import Optional
@@ -32,8 +32,7 @@ def make_schema() -> ConfigSchema:
         Sample,
         [
             FieldSpec("name", doc="required identity"),
-            FieldSpec("mode", "fast", aliases=("speed",),
-                      choices=lambda: tuple(_REGISTRY)),
+            FieldSpec("mode", "fast", choices=lambda: tuple(_REGISTRY)),
             FieldSpec("retries", 3),
             FieldSpec("limit", None),
         ],
@@ -68,18 +67,6 @@ class TestFromDict:
     def test_unknown_key_without_close_match(self):
         with pytest.raises(UnknownKeyError, match="zzz"):
             make_schema().from_dict({"name": "a", "zzz": 2})
-
-    def test_alias_loads_with_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="speed"):
-            obj = make_schema().from_dict({"name": "a", "speed": "turbo"})
-        assert obj.mode == "turbo"
-
-    def test_alias_and_canonical_together_raise(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigError, match="twice"):
-                make_schema().from_dict(
-                    {"name": "a", "speed": "slow", "mode": "fast"}
-                )
 
     def test_registry_choices_reflect_late_registration(self):
         schema = make_schema()
@@ -119,19 +106,10 @@ class TestSchemaConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             ConfigSchema("S", Sample, [FieldSpec("name"), FieldSpec("name")])
 
-    def test_colliding_alias_rejected(self):
-        with pytest.raises(ValueError, match="collides"):
-            ConfigSchema(
-                "S",
-                Sample,
-                [FieldSpec("name"), FieldSpec("mode", "m", aliases=("name",))],
-            )
-
-    def test_describe_lists_defaults_choices_aliases(self):
+    def test_describe_lists_defaults_and_choices(self):
         table = make_schema().describe()
         assert table["name"]["required"] is True
         assert table["mode"]["default"] == "fast"
-        assert table["mode"]["aliases"] == ["speed"]
         assert "turbo" in table["mode"]["choices"]
 
 

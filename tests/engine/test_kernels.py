@@ -4,7 +4,7 @@ Covers the registry API (lookup, registration, replacement, the ValueError
 that lists registered kernels on a typo), dispatch of a custom plane
 kernel through ``MacroEngine.matmat``, the bucketed-LUT calibrated search
 (exact ``searchsorted`` equality, the property the fused kernel's
-calibrated bit-identity rests on), and the optional numba backend.
+calibrated bit-identity rests on).
 """
 
 import numpy as np
@@ -260,26 +260,3 @@ class TestPrecompiledPlanInvalidation:
             engine.matmat(inputs, bits=4, method=device_exec),
         )
 
-
-class TestNumbaKernel:
-    def test_numba_kernel_matches_turbo(self):
-        pytest.importorskip("numba")
-        assert kernels.NUMBA_KERNEL_AVAILABLE
-        assert "numba" in registered_kernels()
-        rng = np.random.default_rng(31)
-        weights = rng.integers(-128, 128, size=(64, 8))
-        engine = build_engine(weights)
-        inputs = rng.integers(0, 16, size=(64, 5))
-        assert np.array_equal(
-            engine.matmat(inputs, bits=4, method="numba"),
-            engine.matmat(inputs, bits=4, method="turbo"),
-        )
-
-    def test_registry_reflects_numba_availability(self):
-        try:
-            import numba  # noqa: F401
-            available = True
-        except ImportError:
-            available = False
-        assert kernels.NUMBA_KERNEL_AVAILABLE == available
-        assert ("numba" in registered_kernels()) == available

@@ -18,7 +18,6 @@ class TestInferenceConfigRoundTrip:
         config = InferenceConfig(
             design="chgfe",
             backend="device",
-            tiling="monolithic",
             device_exec="turbo",
             input_bits=6,
             weight_bits=4,
@@ -59,6 +58,12 @@ class TestSweepSpecExpansion:
         assert len(jobs) == 16
         assert len({job.job_id for job in jobs}) == 16
 
+    def test_job_id_segments(self):
+        spec = SweepSpec(scenarios=("tiny_mlp",), device_execs=("fused",))
+        assert [job.job_id for job in spec.expand()] == [
+            "tiny_mlp:device:curfe:x4w8:adc5:workload:fused"
+        ]
+
     def test_expansion_is_deterministic(self):
         spec = SweepSpec(scenarios=("tiny_mlp",), adc_bits=(4, 5))
         assert [j.job_id for j in spec.expand()] == [
@@ -69,11 +74,10 @@ class TestSweepSpecExpansion:
         spec = SweepSpec(
             scenarios=("tiny_mlp",),
             backends=("functional",),
-            tilings=("tiled", "monolithic"),
             device_execs=("exact", "fast", "turbo"),
         )
         jobs = spec.expand()
-        assert len(jobs) == 1  # tiling / device_exec do not multiply
+        assert len(jobs) == 1  # device_exec does not multiply
 
     def test_analytic_backend_collapses_calibration(self):
         spec = SweepSpec(
