@@ -5,7 +5,10 @@ planes loop (:meth:`IMCMacro.matvec_reference`) against the structure-of-
 arrays :class:`repro.engine.MacroEngine` — single-vector ``matvec`` (bit-
 identical results) and batched ``matmat`` in both its exact and fast
 reduction modes — and writes the measurements to ``BENCH_engine.json`` at
-the repository root to seed the performance trajectory.
+the repository root to seed the performance trajectory.  It also times
+CurFe cell characterisation (:meth:`ArrayState.build` with device variation)
+at deep_cnn's fc-layer shape, the cold-start cost of a device-detailed
+layer, in both modes.
 
 Set ``REPRO_BENCH_TINY=1`` for a seconds-scale smoke run (CI): a smaller
 array, fewer repeats, and no speedup assertions (Python call overhead
@@ -20,6 +23,8 @@ import numpy as np
 
 from repro.core.inputs import InputVector
 from repro.core.macro import CurFeMacro, IMCMacroConfig
+from repro.devices.variation import DEFAULT_VARIATION
+from repro.engine import ArrayState
 from conftest import BENCH_TINY as TINY, emit, tiny
 
 INPUT_BITS = 8
@@ -28,6 +33,16 @@ MATVEC_REPEATS = tiny(20, 3)
 LEGACY_REPEATS = tiny(3, 1)
 
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+
+#: deep_cnn's fc layer as one padded macro (768 rows x 96 weight columns).
+CHARACTERISE_CONFIG = IMCMacroConfig(
+    rows=768, banks=96, variation=DEFAULT_VARIATION, seed=0
+)
+
+#: Characterisation builds timed.  The record keeps the fastest: a busy
+#: host only ever slows a sample down, and the tiny-band floor sits close
+#: to the throughput the solver has without its bias-factor hoisting.
+CHARACTERISE_REPEATS = 3
 
 
 def build_macro():
@@ -50,7 +65,18 @@ def median_seconds(callable_, repeats):
     return float(np.median(samples))
 
 
+def time_characterisation():
+    """(cells, fastest seconds) of variation-sampled CurFe ``ArrayState.build``s."""
+    samples = []
+    for _ in range(CHARACTERISE_REPEATS):
+        start = time.perf_counter()
+        state = ArrayState.build("curfe", CHARACTERISE_CONFIG)
+        samples.append(time.perf_counter() - start)
+    return state.high.on.size + state.low.on.size, min(samples)
+
+
 def run_measurements():
+    cells, characterise_s = time_characterisation()
     macro, rng = build_macro()
     config = macro.config
     inputs = InputVector.random(config.rows, INPUT_BITS, rng)
@@ -91,6 +117,8 @@ def run_measurements():
         "speedup_matvec": legacy_matvec / engine_matvec,
         "speedup_matmat": legacy_matvec / engine_matmat,
         "speedup_matmat_fast": legacy_matvec / engine_matmat_fast,
+        "characterise_cells": cells,
+        "characterise_cells_per_s": cells / characterise_s,
     }
 
 
@@ -110,6 +138,8 @@ def test_engine_speedup(benchmark):
                 f"({record['speedup_matmat']:.1f}x, batch {record['batch']})",
                 f"engine matmat (fast)/col: {record['engine_matmat_fast_ms_per_column']:8.3f} ms "
                 f"({record['speedup_matmat_fast']:.1f}x)",
+                f"characterise (curfe):     {record['characterise_cells']} cells at "
+                f"{record['characterise_cells_per_s'] / 1e3:.0f}k cells/s",
                 f"record: {RECORD_PATH}",
             ]
         ),

@@ -31,6 +31,8 @@ ENGINE_SCHEMA = {
     "speedup_matvec": float,
     "speedup_matmat": float,
     "speedup_matmat_fast": float,
+    "characterise_cells": int,
+    "characterise_cells_per_s": float,
 }
 
 #: Required top-level keys and types of BENCH_chipsim.json.

@@ -29,7 +29,8 @@ from ..devices.fefet import (
     DEFAULT_NFEFET_PARAMS,
     FeFET,
     FeFETParameters,
-    fefet_drain_current,
+    fefet_bias_factor,
+    fefet_current_from_factor,
 )
 from ..devices.passives import CURFE_BASE_RESISTANCE, Resistor
 from ..devices.variation import VariationModel
@@ -91,6 +92,14 @@ class CurFeCellParameters:
         return self.common_mode_voltage / self.base_resistance
 
 
+#: Bisection steps of the series operating-point solve.
+BISECTION_STEPS = 60
+
+#: Cells solved together.  A chunk keeps every temporary of a bisection step
+#: in cache; whole-layer arrays (~3e5 cells) stream each one through memory.
+SOLVE_CHUNK = 8192
+
+
 def curfe_series_currents(
     total_drop,
     gate_voltage,
@@ -98,8 +107,6 @@ def curfe_series_currents(
     resistance,
     vth,
     params: FeFETParameters,
-    *,
-    iterations: int = 60,
 ) -> np.ndarray:
     """Vectorised FeFET + series-resistor operating point (A).
 
@@ -113,22 +120,37 @@ def curfe_series_currents(
     The same conventions as the scalar solver apply: when the FeFET cannot
     conduct even the smallest resistor current the cell is effectively off
     (FeFET current with the full drop across it); when the FeFET acts as a
-    perfect switch the resistor limits entirely; otherwise bisection on the
-    intermediate node voltage.
+    perfect switch the resistor limits entirely; otherwise
+    :data:`BISECTION_STEPS` steps of bisection on the intermediate node
+    voltage.  Every operation is elementwise, so solving the flattened
+    inputs in chunks of :data:`SOLVE_CHUNK` cells gives each cell exactly
+    the floats a whole-array solve would.
     """
-    total_drop = np.asarray(total_drop, dtype=float)
-    gate_voltage = np.asarray(gate_voltage, dtype=float)
-    source_voltage = np.asarray(source_voltage, dtype=float)
-    resistance = np.asarray(resistance, dtype=float)
-    vth = np.asarray(vth, dtype=float)
-    total_drop, gate_voltage, source_voltage, resistance, vth = np.broadcast_arrays(
-        total_drop, gate_voltage, source_voltage, resistance, vth
+    arrays = np.broadcast_arrays(
+        *(
+            np.asarray(value, dtype=float)
+            for value in (total_drop, gate_voltage, source_voltage, resistance, vth)
+        )
     )
+    shape = arrays[0].shape
+    flat = [array.reshape(-1) for array in arrays]
+    currents = np.empty(arrays[0].size)
+    for start in range(0, currents.size, SOLVE_CHUNK):
+        chunk = slice(start, start + SOLVE_CHUNK)
+        currents[chunk] = _solve_series_chunk(*(array[chunk] for array in flat), params)
+    return currents.reshape(shape)
+
+
+def _solve_series_chunk(total_drop, gate_voltage, source_voltage, resistance, vth, params):
+    """:func:`curfe_series_currents` on one chunk of 1-d inputs."""
+    # The gate bias is fixed during the solve: only the drain side of the
+    # FeFET model depends on the iterate.
+    factor = fefet_bias_factor(gate_voltage, source_voltage, vth, params)
 
     def mismatch(v_fefet: np.ndarray) -> np.ndarray:
         i_resistor = (total_drop - v_fefet) / resistance
-        i_fefet = fefet_drain_current(
-            gate_voltage, source_voltage + v_fefet, source_voltage, vth, params
+        i_fefet = fefet_current_from_factor(
+            factor, source_voltage + v_fefet, source_voltage, params
         )
         return i_resistor - i_fefet
 
@@ -138,18 +160,17 @@ def curfe_series_currents(
     f_hi = mismatch(hi)
     # Elements with f_lo <= 0 (FeFET off) or f_hi >= 0 (resistor-limited)
     # take a closed-form branch below; run the bisection only when some
-    # element actually needs it — the common scalar calls (unselected and
-    # stored-0 cells) skip the loop entirely.
+    # element actually needs it.
     if np.any((f_lo > 0) & (f_hi < 0)):
-        for _ in range(iterations):
+        for _ in range(BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
             positive = mismatch(mid) > 0
             lo = np.where(positive, mid, lo)
             hi = np.where(positive, hi, mid)
     v_fefet = 0.5 * (lo + hi)
     bisected = (total_drop - v_fefet) / resistance
-    off_current = fefet_drain_current(
-        gate_voltage, source_voltage + total_drop, source_voltage, vth, params
+    off_current = fefet_current_from_factor(
+        factor, source_voltage + total_drop, source_voltage, params
     )
     resistor_limited = total_drop / resistance
     result = np.where(f_lo <= 0, off_current, np.where(f_hi >= 0, resistor_limited, bisected))

@@ -44,6 +44,8 @@ __all__ = [
     "DEFAULT_NFEFET_PARAMS",
     "DEFAULT_PFEFET_PARAMS",
     "fefet_drain_current",
+    "fefet_bias_factor",
+    "fefet_current_from_factor",
     "calibrate_vth_for_on_current",
     "make_slc_nfefet",
     "make_mlc_nfefet",
@@ -113,7 +115,11 @@ def fefet_drain_current(vg, vd, vs, vth, params: FeFETParameters) -> np.ndarray:
     This is the single evaluation kernel of the compact model:
     :meth:`FeFET.drain_current` calls it with scalars, and the array engine
     calls it with whole-array Vth tensors, so the per-device and vectorised
-    paths produce bit-identical currents.
+    paths produce bit-identical currents.  It is the composition of
+    :func:`fefet_bias_factor` (the gate-bias part) and
+    :func:`fefet_current_from_factor` (the drain-voltage part); solvers that
+    sweep only the drain voltage call the two halves directly and compute
+    the factor once.
 
     Args:
         vg: Gate voltage(s) relative to the bulk/ground reference (V).
@@ -125,30 +131,50 @@ def fefet_drain_current(vg, vd, vs, vth, params: FeFETParameters) -> np.ndarray:
     Returns:
         Drain current magnitudes (A), broadcast over the inputs.
     """
+    factor = fefet_bias_factor(vg, vs, vth, params)
+    return fefet_current_from_factor(factor, vd, vs, params)
+
+
+def fefet_bias_factor(vg, vs, vth, params: FeFETParameters) -> np.ndarray:
+    """The drain-independent factor ``k * (n*vt)^2 * softplus^2`` (A).
+
+    Depends on the gate and source voltages and the threshold only, so a
+    solver that varies the drain voltage at fixed gate bias evaluates it
+    once (``exp`` + ``log1p`` per device) instead of at every iterate.
+    """
     p = params
     vt = _THERMAL_VOLTAGE
     n = p.subthreshold_ideality
-    vg = np.asarray(vg, dtype=float)
-    vd = np.asarray(vd, dtype=float)
-    vs = np.asarray(vs, dtype=float)
+    vgs = np.asarray(vg, dtype=float) - np.asarray(vs, dtype=float)
     vth = np.asarray(vth, dtype=float)
-    vgs = vg - vs
-    vds = vd - vs
     if p.polarity == "n":
         overdrive = vgs - vth
     else:
         # pFeFET: conduction for Vgs below Vth (i.e. Vsg above |Vth|).
         overdrive = vth - vgs
-        vds = -vds
-    # Symmetric device: swap source and drain.
-    vds = np.where(vds < 0, -vds, vds)
     # Smooth subthreshold-to-strong-inversion interpolation with a
     # numerically safe softplus.
     x = overdrive / (n * vt)
     softplus = np.where(x > 40.0, x, np.log1p(np.exp(np.minimum(x, 40.0))))
-    channel = p.transconductance * (n * vt) ** 2 * softplus * softplus
+    return p.transconductance * (n * vt) ** 2 * softplus * softplus
+
+
+def fefet_current_from_factor(factor, vd, vs, params: FeFETParameters) -> np.ndarray:
+    """Drain current (A) from a :func:`fefet_bias_factor` and the drain bias.
+
+    Applies the drain-voltage part of the model: source/drain folding, the
+    triode-to-saturation term, channel-length modulation, the leakage floor
+    and the compliance clamp.
+    """
+    p = params
+    vt = _THERMAL_VOLTAGE
+    vds = np.asarray(vd, dtype=float) - np.asarray(vs, dtype=float)
+    if p.polarity == "p":
+        vds = -vds
+    # Symmetric device: swap source and drain.
+    vds = np.where(vds < 0, -vds, vds)
     # Triode-to-saturation transition and channel-length modulation.
-    channel = channel * (
+    channel = factor * (
         (1.0 - np.exp(-vds / vt)) * (1.0 + p.channel_length_modulation * vds)
     )
     current = channel + p.leakage_current

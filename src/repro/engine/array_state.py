@@ -43,6 +43,7 @@ from ..core.chgfe import ChgFeBlockConfig
 from ..core.curfe import CurFeBlockConfig
 from ..core.readout import ChgFeReadout, CurFeReadout
 from ..devices.variation import VariationModel
+from ..obs.tracer import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..core.macro import IMCMacro, IMCMacroConfig
@@ -457,8 +458,13 @@ class ArrayState:
                 capacitance_total=caps_total,
             )
 
-        high = characterise(signed=True)
-        low = characterise(signed=False)
+        tracer = get_tracer()
+        if tracer.enabled:
+            cells = 2 * int(np.prod(shape))
+            with tracer.span("characterise", design=design, cells=cells):
+                high, low = characterise(signed=True), characterise(signed=False)
+        else:
+            high, low = characterise(signed=True), characterise(signed=False)
         kwargs = {}
         if design == CURFE_DESIGN:
             tia = TransimpedanceAmplifier(

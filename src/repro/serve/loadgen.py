@@ -158,18 +158,21 @@ class LoadGenerator:
     ) -> LoadResult:
         """Schedule-driven arrivals at ``rate_rps``, independent of completions.
 
-        With ``backpressure="reject"`` on the runtime, arrivals that find
-        the queue full become ``None`` responses; with ``"block"`` the
-        schedule degrades gracefully (a blocked submit delays later
-        arrivals — the usual open-loop caveat).
+        Request ``i`` is due at ``start + sum(intervals[:i + 1])``.  With
+        ``backpressure="reject"`` on the runtime, arrivals that find the
+        queue full become ``None`` responses; with ``"block"`` a blocked
+        submit holds up only the arrivals that fall due meanwhile — they
+        are submitted as soon as it returns, and the rest keep their
+        scheduled times.
         """
-        intervals = self.arrival_intervals(requests, rate_rps, pattern)
+        due = np.cumsum(self.arrival_intervals(requests, rate_rps, pattern))
         start = time.perf_counter()
         futures: Dict[int, Future] = {}
         rejected = 0
         for index in range(requests):
-            if intervals[index] > 0:
-                time.sleep(float(intervals[index]))
+            delay = start + float(due[index]) - time.perf_counter()
+            if delay > 0:
+                time.sleep(delay)
             try:
                 futures[index] = runtime.submit(self.request_image(index))
             except QueueFullError:

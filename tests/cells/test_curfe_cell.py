@@ -3,8 +3,89 @@
 import numpy as np
 import pytest
 
-from repro.cells.curfe_cell import CurFeCell, CurFeCellParameters
+from repro.cells import curfe_cell
+from repro.cells.curfe_cell import (
+    SOLVE_CHUNK,
+    CurFeCell,
+    CurFeCellParameters,
+    characterise_curfe_group,
+    curfe_series_currents,
+)
+from repro.devices.fefet import (
+    DEFAULT_NFEFET_PARAMS,
+    DEFAULT_PFEFET_PARAMS,
+    FeFETParameters,
+    fefet_bias_factor,
+    fefet_current_from_factor,
+    fefet_drain_current,
+)
 from repro.devices.variation import DEFAULT_VARIATION
+
+
+def reference_drain_current(vg, vd, vs, vth, p):
+    """The FeFET compact model as one whole-array expression (test oracle)."""
+    vt = 0.02585
+    n = p.subthreshold_ideality
+    vg, vd, vs, vth = (np.asarray(a, dtype=float) for a in (vg, vd, vs, vth))
+    vgs = vg - vs
+    vds = vd - vs
+    if p.polarity == "n":
+        overdrive = vgs - vth
+    else:
+        overdrive = vth - vgs
+        vds = -vds
+    vds = np.where(vds < 0, -vds, vds)
+    x = overdrive / (n * vt)
+    softplus = np.where(x > 40.0, x, np.log1p(np.exp(np.minimum(x, 40.0))))
+    channel = p.transconductance * (n * vt) ** 2 * softplus * softplus
+    channel = channel * (
+        (1.0 - np.exp(-vds / vt)) * (1.0 + p.channel_length_modulation * vds)
+    )
+    return np.minimum(channel + p.leakage_current, p.max_on_current)
+
+
+def reference_series_currents(drop, gate, source, resistance, vth, params):
+    """Whole-array 60-step bisection, re-evaluating the full model (oracle)."""
+    drop, gate, source, resistance, vth = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (drop, gate, source, resistance, vth))
+    )
+
+    def mismatch(v):
+        i_fefet = reference_drain_current(gate, source + v, source, vth, params)
+        return (drop - v) / resistance - i_fefet
+
+    lo = np.zeros_like(drop)
+    hi = drop.copy()
+    f_lo = mismatch(lo)
+    f_hi = mismatch(hi)
+    if np.any((f_lo > 0) & (f_hi < 0)):
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            positive = mismatch(mid) > 0
+            lo = np.where(positive, mid, lo)
+            hi = np.where(positive, hi, mid)
+    bisected = (drop - 0.5 * (lo + hi)) / resistance
+    off = reference_drain_current(gate, source + drop, source, vth, params)
+    result = np.where(f_lo <= 0, off, np.where(f_hi >= 0, drop / resistance, bisected))
+    return np.where(drop <= 0, 0.0, result)
+
+
+def random_cell_biases(size, seed=0):
+    """Mixed data/sign, stored 0/1, selected/unselected CurFe cell biases."""
+    rng = np.random.default_rng(seed)
+    params = CurFeCellParameters()
+    sign = rng.random(size) < 0.25
+    drop = np.where(sign, params.sign_supply_voltage - params.common_mode_voltage,
+                    params.common_mode_voltage)
+    gate = np.where(rng.random(size) < 0.7, params.read_voltage, params.idle_voltage)
+    source = np.where(sign, params.common_mode_voltage, 0.0)
+    significance = rng.integers(0, 4, size)
+    resistance = params.base_resistance / 2.0**significance * (
+        1.0 + DEFAULT_VARIATION.draw_resistor_tolerance(rng, size=size)
+    )
+    vth = np.where(rng.random(size) < 0.5, params.low_vth, params.high_vth)
+    vth = vth + DEFAULT_VARIATION.draw_vth_offset(rng, size=size)
+    return drop, gate, source, resistance, vth
 
 
 class TestCurFeCellParameters:
@@ -89,3 +170,119 @@ class TestCurFeCell:
         cell.program(0)
         off = cell.bitline_current(1)
         assert on > 1000 * abs(off)
+
+
+class TestSeriesSolverBitIdentity:
+    """The chunked, factor-hoisting solver equals the whole-array bisection."""
+
+    @pytest.mark.parametrize(
+        "size", [1, SOLVE_CHUNK - 1, SOLVE_CHUNK, SOLVE_CHUNK + 1, 3 * SOLVE_CHUNK + 5]
+    )
+    def test_sizes_around_the_chunk(self, size):
+        biases = random_cell_biases(size, seed=size)
+        params = DEFAULT_NFEFET_PARAMS
+        assert np.array_equal(
+            curfe_series_currents(*biases, params),
+            reference_series_currents(*biases, params),
+        )
+
+    def test_scalars_match_and_stay_zero_dimensional(self):
+        for drop, gate, source, resistance, vth in zip(*random_cell_biases(16, seed=3)):
+            args = (float(drop), float(gate), float(source), float(resistance), float(vth))
+            current = curfe_series_currents(*args, DEFAULT_NFEFET_PARAMS)
+            assert current.shape == ()
+            assert current == reference_series_currents(*args, DEFAULT_NFEFET_PARAMS)
+
+    @pytest.mark.parametrize("sign", [False, True])
+    def test_scalar_cell_path_matches_oracle(self, sign):
+        params = CurFeCellParameters()
+        vcm = params.common_mode_voltage
+        drop = params.sign_supply_voltage - vcm if sign else vcm
+        source = vcm if sign else 0.0
+        for significance in range(4):
+            cell = CurFeCell(
+                significance, is_sign_cell=sign, stored_bit=1, vth_offset=0.013
+            )
+            expected = reference_series_currents(
+                drop,
+                params.read_voltage,
+                source,
+                cell.resistor.effective_resistance,
+                cell.fefet.vth,
+                cell.fefet.params,
+            )
+            assert abs(cell.bitline_current(1)) == float(expected)
+
+    def test_column_vectors_broadcast_against_cell_tensor(self):
+        params = CurFeCellParameters()
+        rows = SOLVE_CHUNK // 4 + 3
+        rng = np.random.default_rng(5)
+        drop = np.array([0.5, 0.5, 0.5, 0.5])
+        source = np.array([0.0, 0.0, 0.0, 0.5])
+        resistance = params.base_resistance / 2.0 ** np.arange(4) * (
+            1.0 + 0.01 * rng.standard_normal((rows, 4))
+        )
+        vth = params.low_vth + 0.04 * rng.standard_normal((rows, 4))
+        args = (drop, params.read_voltage, source, resistance, vth, DEFAULT_NFEFET_PARAMS)
+        current = curfe_series_currents(*args)
+        assert current.shape == (rows, 4)
+        assert np.array_equal(current, reference_series_currents(*args))
+
+    def test_non_positive_drop_gives_zero(self):
+        drop, gate, source, resistance, vth = random_cell_biases(64, seed=9)
+        drop = drop.copy()
+        drop[:8] = 0.0
+        drop[8:16] = -0.25
+        args = (drop, gate, source, resistance, vth, DEFAULT_NFEFET_PARAMS)
+        current = curfe_series_currents(*args)
+        assert np.all(current[:16] == 0.0)
+        assert np.array_equal(current, reference_series_currents(*args))
+
+    def test_closed_form_branches(self):
+        # Without leakage a cell whose channel factor underflows to 0 is
+        # resistor-limited (f_hi >= 0); a huge resistor makes the cell
+        # current fall below the leakage floor, so it is off (f_lo <= 0).
+        leaky = DEFAULT_NFEFET_PARAMS
+        leak_free = FeFETParameters(leakage_current=0.0)
+        drop, gate, source, resistance, vth = (
+            array.copy() for array in random_cell_biases(32, seed=11)
+        )
+        vth[0] = 100.0
+        resistance[1] = 1e13
+        for params in (leaky, leak_free):
+            args = (drop, gate, source, resistance, vth, params)
+            current = curfe_series_currents(*args)
+            assert np.array_equal(current, reference_series_currents(*args))
+        assert curfe_series_currents(0.5, 1.2, 0.0, 5e6, 100.0, leak_free) == 0.5 / 5e6
+        off = curfe_series_currents(0.5, 1.2, 0.0, 1e13, 0.3, leaky)
+        assert off == fefet_drain_current(1.2, 0.5, 0.0, 0.3, leaky)
+        # A chunk of closed-form cells only skips the loop altogether.
+        args = ([0.5, 0.5, 0.0], 1.2, 0.0, [5e6, 1e13, 5e6], [100.0, 0.3, 0.3], leaky)
+        assert np.array_equal(
+            curfe_series_currents(*args), reference_series_currents(*args)
+        )
+
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_group_tables_under_variation(self, signed, monkeypatch):
+        rng = np.random.default_rng(21)
+        shape = (3, 24, 32, 4)  # spans two solver chunks
+        vth = DEFAULT_VARIATION.draw_vth_offset(rng, size=shape)
+        tol = DEFAULT_VARIATION.draw_resistor_tolerance(rng, size=shape)
+        params = CurFeCellParameters()
+        tables = characterise_curfe_group(vth, tol, signed=signed, params=params)
+        monkeypatch.setattr(curfe_cell, "curfe_series_currents", reference_series_currents)
+        expected = characterise_curfe_group(vth, tol, signed=signed, params=params)
+        for table, oracle in zip(tables, expected):
+            assert np.array_equal(table, oracle)
+
+    @pytest.mark.parametrize("params", [DEFAULT_NFEFET_PARAMS, DEFAULT_PFEFET_PARAMS])
+    def test_drain_current_is_the_composition_of_its_halves(self, params):
+        rng = np.random.default_rng(2)
+        vg, vd, vs = rng.uniform(-1.5, 1.5, (3, 2048))
+        vth = rng.uniform(-1.0, 2.0, 2048)
+        composed = fefet_current_from_factor(
+            fefet_bias_factor(vg, vs, vth, params), vd, vs, params
+        )
+        current = fefet_drain_current(vg, vd, vs, vth, params)
+        assert np.array_equal(current, composed)
+        assert np.array_equal(current, reference_drain_current(vg, vd, vs, vth, params))

@@ -52,6 +52,33 @@ class TestOfflineBitIdentity:
         assert spans, "enabled tracer collected nothing"
 
 
+class TestCharacteriseSpans:
+    def test_one_span_per_weight_layer_with_its_cell_count(self):
+        scenario = get_scenario("tiny_mlp")
+        config = InferenceConfig(backend="device", design="curfe", seed=0)
+        model = scenario.build(seed=config.seed)
+        workload = scenario.workload(images=8, seed=7)
+
+        def build_and_run():
+            simulator = ChipSimulator(model, config=config, name=scenario.name)
+            return simulator, simulator.run(workload.images).predictions
+
+        set_tracer(NULL_TRACER)
+        _, baseline = build_and_run()
+        tracer = Tracer()
+        set_tracer(tracer)
+        simulator, traced = build_and_run()
+        spans = [s for s in tracer.drain() if s["name"] == "characterise"]
+        assert np.array_equal(baseline, traced)
+        states = simulator.inference.layer_array_states()
+        assert len(spans) == len(states) == len(model.weight_layers())
+        assert [s["attrs"]["cells"] for s in spans] == [
+            2 * state.banks * state.rows * 4 for state in states.values()
+        ]
+        assert all(s["attrs"]["design"] == "curfe" for s in spans)
+        assert all(s["duration_s"] > 0 for s in spans)
+
+
 class TestServePoolBitIdentity:
     @pytest.mark.parametrize("pool", ["thread", "process"])
     def test_serving_identical_with_tracing_on_and_off(

@@ -1,11 +1,12 @@
 """LoadGenerator: seeded schedules, closed-/open-loop shapes, rejection handling."""
 
 import dataclasses
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from repro.serve import LoadGenerator, ServeRuntime
+from repro.serve import LoadGenerator, ServeRuntime, loadgen
 
 
 class TestArrivalSchedules:
@@ -121,3 +122,56 @@ class TestOpenLoop:
         np.testing.assert_array_equal(
             result.predictions, offline[np.arange(8) % len(request_images)]
         )
+
+
+class FakeClock:
+    """Stands in for the ``time`` module: sleeping just advances the clock."""
+
+    def __init__(self, now=1000.0):
+        self.now = now
+
+    def perf_counter(self):
+        return self.now
+
+    def sleep(self, seconds):
+        assert seconds > 0
+        self.now += seconds
+
+
+class StallingRuntime:
+    """Records submit times; the first submit stalls the caller 50 ms."""
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.submit_times = []
+
+    def submit(self, image):
+        self.submit_times.append(self.clock.now)
+        if len(self.submit_times) == 1:
+            self.clock.now += 0.05
+        future = Future()
+        future.set_result(None)
+        return future
+
+    def drain(self):
+        pass
+
+    def snapshot(self):
+        return None
+
+
+class TestOpenLoopSchedule:
+    def test_a_slow_submit_does_not_shift_later_arrivals(self, monkeypatch):
+        clock = FakeClock()
+        monkeypatch.setattr(loadgen, "time", clock)
+        runtime = StallingRuntime(clock)
+        start = clock.now
+        result = LoadGenerator(np.zeros((2, 1, 2, 2))).open_loop(
+            runtime, requests=6, rate_rps=50.0, pattern="uniform"
+        )
+        assert result.completed == 6
+        # Due at 20, 40, ... 120 ms; the first submit returns at 70 ms, so
+        # the arrivals due at 40 and 60 ms go out at once and the rest on time.
+        expected = [0.02, 0.07, 0.07, 0.08, 0.10, 0.12]
+        offsets = [t - start for t in runtime.submit_times]
+        assert offsets == pytest.approx(expected, abs=1e-9)
