@@ -94,15 +94,22 @@ def show_observability(config, program, generator, workload) -> None:
             scrape = response.read().decode("utf-8")
     families = parse_exposition(scrape)  # proves the scrape is consumable
     print(f"  scraped {url}: {len(families)} metric families")
-    interesting = (
-        "repro_serve_requests_completed_total",
-        "repro_serve_throughput_rps",
-        "repro_serve_latency_p99_seconds",
-        "repro_serve_batch_occupancy_mean",
-    )
-    for line in scrape.splitlines():
-        if line.startswith(interesting):
-            print(f"    {line}")
+    shown = {
+        "repro_serve_requests_completed_total": (
+            "repro_serve_requests_completed_total",
+        ),
+        "repro_serve_latency_seconds": (
+            "repro_serve_latency_seconds_count",
+            "repro_serve_latency_seconds_sum",
+        ),
+        "repro_serve_batch_size": (),  # every bucket, _sum and _count
+    }
+    for family, names in shown.items():
+        if family not in families:
+            raise RuntimeError(f"/metrics scrape has no {family} family")
+        for name, value in families[family]["samples"].items():
+            if not names or name in names:
+                print(f"    {name} {value:g}")
     print(f"  event log tail ({config.event_log}):")
     for event in tail_events(config.event_log, 5):
         extras = {

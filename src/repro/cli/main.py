@@ -21,7 +21,8 @@ bench     Measure a ``kind: bench`` deployment at each configured client
           concurrency (one shared chip program).
 trace     Run any runnable kind with tracing forced on; write a
           Perfetto-loadable trace file and print the exclusive-time
-          rollup table (``repro.obs``).
+          rollup table (``repro.obs``) and the trace path.  The payload
+          is written only with ``--output``.
 validate  Schema-check config files without running anything.
 ========  =============================================================
 
@@ -344,7 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--output",
             metavar="PATH",
             default=None,
-            help="write the full JSON payload to PATH instead of stdout",
+            help="write the full JSON payload to PATH (default: stdout; "
+            "trace prints only its rollup and trace path)",
         )
 
     for name, help_text in (
@@ -407,12 +409,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             payload = cmd_trace(
                 args.config, args.overrides, trace_path=args.trace_path
             )
-            print(payload["obs"]["summary"], file=sys.stderr)
-            print(
-                f"trace written to {payload['obs']['trace_path']}",
-                file=sys.stderr,
-            )
-            _emit(payload, args.output)
+            print(payload["obs"]["summary"])
+            print(f"trace written to {payload['obs']['trace_path']}")
+            if args.output is not None:
+                _emit(payload, args.output)
             return 0
         document = _load_document(
             args.config, args.overrides, expected_kind=args.command

@@ -3,7 +3,7 @@
 Every subsystem that previously kept private ad-hoc counters registers
 into a :class:`MetricsRegistry` instead, and the registry renders straight
 into the Prometheus text exposition the serving runtime already exposes
-(``repro.serve.promexp.render_prometheus(..., registries=...)``):
+(``repro.serve.promexp.render_prometheus(*registries)``):
 
 * the engine counts kernel dispatches per kernel
   (``repro_engine_kernel_dispatch_total{kernel=...}``),
@@ -11,9 +11,9 @@ into the Prometheus text exposition the serving runtime already exposes
   (``repro_sweep_cache_events_total{kind=...,outcome=...}``),
 * the shared-memory arena counts segment creates / attaches
   (``repro_shm_arena_events_total{mode=...}``),
-* ``ServeMetrics`` backs its latency / queue-wait / service-time
-  percentiles with the shared :class:`Histogram` type (its own private
-  registry, one per runtime).
+* ``ServeMetrics`` keeps every serving counter, gauge and histogram in
+  its own private registry (one per runtime) and computes its snapshots
+  from them.
 
 Histograms use **fixed bucket boundaries** (cumulative ``le`` counts plus
 exact ``sum`` / ``count``, exactly the Prometheus model).  Quantiles are
@@ -183,6 +183,11 @@ class Histogram(_Collector):
     def mean(self) -> float:
         with self._lock:
             return self._sum / self._count if self._count else 0.0
+
+    def max(self) -> float:
+        """The largest observed value (0.0 before the first observation)."""
+        with self._lock:
+            return self._max if self._count else 0.0
 
     def percentile(self, q: float) -> float:
         """Estimate the *q*-th percentile (0–100) from the buckets.

@@ -29,9 +29,10 @@ dispatch payload), minted by :meth:`Tracer.new_context` and accepted by
 ``span(..., parent=ctx)`` and :meth:`Tracer.record_span`.
 
 :class:`timed` is the bridge between tracing and the record fields the
-sweep/chipsim paths always report: it measures a ``perf_counter`` pair
-*unconditionally* (so ``wall_seconds`` etc. exist with tracing off) and
-additionally opens a real span when the tracer is enabled.
+sweep/chipsim paths always report: it measures its block *unconditionally*
+(so ``wall_seconds`` etc. exist with tracing off) — with the span's own
+clock pair when the tracer is enabled, its own ``perf_counter`` pair when
+not.
 """
 
 from __future__ import annotations
@@ -134,6 +135,7 @@ class Span:
         "span_id",
         "parent_id",
         "start_s",
+        "duration_s",
         "attrs",
         "_state",
     )
@@ -146,6 +148,7 @@ class Span:
         self.attrs = attrs
         self._state = state
         self.start_s = 0.0
+        self.duration_s = 0.0
 
     def set(self, **attrs: Any) -> None:
         """Attach/overwrite attributes on the live span."""
@@ -161,7 +164,7 @@ class Span:
         return self
 
     def __exit__(self, *exc: Any) -> bool:
-        duration = now() - self.start_s
+        self.duration_s = now() - self.start_s
         state = self._state
         if state.stack and state.stack[-1] is self:
             state.stack.pop()
@@ -177,7 +180,7 @@ class Span:
                 "span_id": self.span_id,
                 "parent_id": self.parent_id,
                 "start_s": self.start_s,
-                "duration_s": duration,
+                "duration_s": self.duration_s,
                 "pid": os.getpid(),
                 "thread": state.thread_name,
                 "attrs": self.attrs,
@@ -369,9 +372,10 @@ class timed:
     The host-timing record fields (`ChipSimulator.run` ``wall_seconds``,
     the sweep's ``setup_s`` / ``run_s`` / ``wall_s``) derive from these
     objects, so the measurement must exist with tracing off — but the span
-    machinery must stay out of the disabled path.  ``duration_s`` is always
-    this object's own ``perf_counter`` pair; when the tracer is enabled the
-    same block additionally opens a real span (so children nest under it).
+    machinery must stay out of the disabled path.  When the tracer is
+    enabled the block opens a real span (so children nest under it) and
+    ``start_s`` / ``duration_s`` are that span's; otherwise they come from
+    this object's own ``perf_counter`` pair.
     """
 
     __slots__ = ("name", "attrs", "parent", "start_s", "duration_s", "_span")
@@ -388,14 +392,17 @@ class timed:
         tracer = _TRACER
         if tracer.enabled:
             self._span = tracer.span(self.name, parent=self.parent, **self.attrs)
-            self._span.__enter__()
-        self.start_s = now()
+            self.start_s = self._span.__enter__().start_s
+        else:
+            self.start_s = now()
         return self
 
     def __exit__(self, *exc: Any) -> bool:
-        self.duration_s = now() - self.start_s
-        if self._span is not None:
+        if self._span is None:
+            self.duration_s = now() - self.start_s
+        else:
             self._span.__exit__(*exc)
+            self.duration_s = self._span.duration_s
             self._span = None
         return False
 

@@ -1,46 +1,32 @@
-"""Thread-safe serving metrics: latency tails, throughput, queue, batching.
+"""Thread-safe serving metrics: a thin wrapper over one metrics registry.
 
 :class:`ServeMetrics` is the runtime's accumulator — every submit, reject,
-dispatch, and completion records into it under one lock — and
-:meth:`ServeMetrics.snapshot` freezes a consistent
-:class:`MetricsSnapshot` at any moment, including mid-load.  The snapshot
-carries the numbers a serving operator actually watches: p50/p95/p99
-latency, request throughput, queue depth, batch occupancy, and the
-accounting identity (submitted = completed + in-flight, with rejected
-counted separately — a rejected request is never "submitted") the test
-suite asserts.
+dispatch, and completion records into the instruments of its private
+:class:`~repro.obs.metrics.MetricsRegistry` (one per runtime, so two
+runtimes in one process never mix their numbers) — and
+:meth:`ServeMetrics.snapshot` computes a consistent
+:class:`MetricsSnapshot` from those same instruments at any moment,
+including mid-load.  ``/metrics`` renders the registry verbatim, so a
+snapshot and a scrape can never disagree.
 
-Counters are exact for the runtime's whole lifetime.  The latency / queue
--wait / service-time **percentiles** come from the shared fixed-bucket
-:class:`~repro.obs.metrics.Histogram` type (bounds:
-:data:`~repro.obs.metrics.DEFAULT_LATENCY_BUCKETS` — 100 µs to 10 s,
-roughly logarithmic, +Inf implicit), held in a per-runtime private
-:class:`~repro.obs.metrics.MetricsRegistry` so ``/metrics`` can expose the
-full bucket families alongside the snapshot counters.  Bucketed
-percentiles are O(1) memory for any lifetime and interpolate inside the
-winning bucket (clamped to the observed min/max), monotone in the
-quantile.  The *means* (and the queue-depth / batch-size stats) still use
-bounded ring buffers (:data:`DEFAULT_HISTORY` samples) — they are
-trailing-window statistics, which the test suite pins.
+The snapshot carries the numbers a serving operator actually watches:
+p50/p95/p99 latency, request throughput, queue depth, batch occupancy,
+and the accounting identity (submitted = completed + in-flight, with
+rejected counted separately — a rejected request is never "submitted")
+the test suite asserts.  Counters and means (histogram sum / count) are
+exact for the runtime's whole lifetime; percentiles interpolate inside
+the fixed buckets (see :meth:`~repro.obs.metrics.Histogram.percentile`).
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Deque, Dict, Optional
-
-import numpy as np
+from typing import Dict, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
 
-__all__ = ["MetricsSnapshot", "ServeMetrics", "DEFAULT_HISTORY"]
-
-#: Ring-buffer length of every sampled distribution (latencies, queue
-#: waits, batch sizes, depth samples, service times).
-DEFAULT_HISTORY = 65536
+__all__ = ["MetricsSnapshot", "ServeMetrics"]
 
 
 @dataclass(frozen=True)
@@ -88,48 +74,76 @@ class MetricsSnapshot:
         return asdict(self)
 
 
+def _count_bounds(limit: int) -> Tuple[int, ...]:
+    """Histogram bounds for a count in ``[0, limit]``: 0, powers of 2, limit."""
+    return tuple(sorted({0, limit, *(1 << k for k in range(limit.bit_length()))}))
+
+
 class ServeMetrics:
     """Accumulates serving events; every method is thread-safe.
 
     Args:
-        max_batch: The scheduler's batch cap, denominator of the
-            occupancy metric.
-        history: Samples each distribution ring buffer retains; counters
-            (submitted / completed / rejected / batches) stay exact
-            regardless.
+        max_batch: The scheduler's batch cap — denominator of the
+            occupancy metric and top bucket of the batch-size histogram.
+        queue_depth: The request-queue bound — top bucket of the
+            queue-depth histogram.
     """
 
-    def __init__(self, max_batch: int, *, history: int = DEFAULT_HISTORY) -> None:
-        if history < 1:
-            raise ValueError("history must be at least 1")
+    def __init__(self, max_batch: int, queue_depth: int) -> None:
         self.max_batch = int(max_batch)
+        # One lock around every record and the snapshot, so a snapshot
+        # never sees a request counted as submitted but not in flight.
         self._lock = threading.Lock()
-        self._submitted = 0
-        self._rejected = 0
-        self._completed = 0
-        self._batches = 0
-        self._batch_sizes: Deque[int] = deque(maxlen=history)
-        self._latencies: Deque[float] = deque(maxlen=history)
-        self._queue_waits: Deque[float] = deque(maxlen=history)
-        self._service_times: Deque[float] = deque(maxlen=history)
-        self._depth_samples: Deque[int] = deque(maxlen=history)
         self._first_arrival: Optional[float] = None
         self._last_completion: Optional[float] = None
-        # Per-runtime registry: the percentile sources, exposed verbatim as
-        # histogram families on /metrics (private so two runtimes in one
-        # process never mix their distributions).
-        self.registry = MetricsRegistry()
-        self._latency_hist = self.registry.histogram(
+        self.registry = registry = MetricsRegistry()
+        self._submitted = registry.counter(
+            "repro_serve_requests_submitted_total",
+            "Requests accepted into the queue.",
+        )
+        self._rejected = registry.counter(
+            "repro_serve_requests_rejected_total",
+            "Requests refused by the backpressure policy.",
+        )
+        self._completed = registry.counter(
+            "repro_serve_requests_completed_total",
+            "Requests served to completion.",
+        )
+        self._batches = registry.counter(
+            "repro_serve_batches_total",
+            "Micro-batches dispatched to the replica pool.",
+        )
+        self._in_flight = registry.gauge(
+            "repro_serve_requests_in_flight",
+            "Requests admitted but not yet completed.",
+        )
+        # Scrapes show every counter and the gauge from the start, at 0.
+        for counter in (
+            self._submitted, self._rejected, self._completed, self._batches
+        ):
+            counter.inc(0)
+        self._in_flight.set(0)
+        self._latency = registry.histogram(
             "repro_serve_latency_seconds",
             "Per-request latency (arrival to response)",
         )
-        self._queue_wait_hist = self.registry.histogram(
+        self._queue_wait = registry.histogram(
             "repro_serve_queue_wait_seconds",
             "Time requests spent queued before dispatch",
         )
-        self._service_hist = self.registry.histogram(
+        self._service = registry.histogram(
             "repro_serve_service_seconds",
             "Host service time of a micro-batch",
+        )
+        self._batch_size = registry.histogram(
+            "repro_serve_batch_size",
+            "Requests per dispatched micro-batch",
+            buckets=_count_bounds(self.max_batch),
+        )
+        self._queue_depth = registry.histogram(
+            "repro_serve_queue_depth",
+            "Request-queue depth sampled at every accepted submit",
+            buckets=_count_bounds(int(queue_depth)),
         )
 
     # -------------------------------------------------------------- recording
@@ -137,34 +151,33 @@ class ServeMetrics:
     def record_submitted(self, queue_depth: int, arrival_s: float) -> None:
         """One request accepted into the queue (depth sampled after the put)."""
         with self._lock:
-            self._submitted += 1
-            self._depth_samples.append(int(queue_depth))
+            self._submitted.inc()
+            self._in_flight.inc()
+            self._queue_depth.observe(queue_depth)
             if self._first_arrival is None or arrival_s < self._first_arrival:
                 self._first_arrival = arrival_s
 
     def record_rejected(self) -> None:
         """One request refused by the backpressure policy."""
         with self._lock:
-            self._rejected += 1
+            self._rejected.inc()
 
     def record_batch(self, size: int, service_s: float) -> None:
         """One micro-batch completed on a replica."""
-        self._service_hist.observe(service_s)
         with self._lock:
-            self._batches += 1
-            self._batch_sizes.append(int(size))
-            self._service_times.append(float(service_s))
+            self._batches.inc()
+            self._batch_size.observe(size)
+            self._service.observe(service_s)
 
     def record_response(
         self, latency_s: float, queue_wait_s: float, completion_s: float
     ) -> None:
         """One request's response resolved."""
-        self._latency_hist.observe(latency_s)
-        self._queue_wait_hist.observe(queue_wait_s)
         with self._lock:
-            self._completed += 1
-            self._latencies.append(float(latency_s))
-            self._queue_waits.append(float(queue_wait_s))
+            self._completed.inc()
+            self._in_flight.dec()
+            self._latency.observe(latency_s)
+            self._queue_wait.observe(queue_wait_s)
             if (
                 self._last_completion is None
                 or completion_s > self._last_completion
@@ -176,51 +189,28 @@ class ServeMetrics:
     def snapshot(self) -> MetricsSnapshot:
         """Freeze a consistent view of everything recorded so far."""
         with self._lock:
+            completed = int(self._completed.value())
             wall = 0.0
             if self._first_arrival is not None and self._last_completion is not None:
                 wall = max(0.0, self._last_completion - self._first_arrival)
-            throughput = self._completed / wall if wall > 0 else 0.0
-            batch_mean = (
-                float(np.mean(np.asarray(self._batch_sizes)))
-                if self._batch_sizes
-                else 0.0
-            )
+            batch_mean = self._batch_size.mean()
             return MetricsSnapshot(
-                submitted=self._submitted,
-                rejected=self._rejected,
-                completed=self._completed,
-                in_flight=self._submitted - self._completed,
-                batches=self._batches,
-                throughput_rps=float(throughput),
-                latency_p50_s=self._latency_hist.percentile(50),
-                latency_p95_s=self._latency_hist.percentile(95),
-                latency_p99_s=self._latency_hist.percentile(99),
-                latency_mean_s=(
-                    float(np.mean(np.asarray(self._latencies))) if self._latencies else 0.0
-                ),
-                queue_wait_mean_s=(
-                    float(np.mean(np.asarray(self._queue_waits))) if self._queue_waits else 0.0
-                ),
-                service_mean_s=(
-                    float(np.mean(np.asarray(self._service_times)))
-                    if self._service_times
-                    else 0.0
-                ),
+                submitted=int(self._submitted.value()),
+                rejected=int(self._rejected.value()),
+                completed=completed,
+                in_flight=int(self._in_flight.value()),
+                batches=int(self._batches.value()),
+                throughput_rps=completed / wall if wall > 0 else 0.0,
+                latency_p50_s=self._latency.percentile(50),
+                latency_p95_s=self._latency.percentile(95),
+                latency_p99_s=self._latency.percentile(99),
+                latency_mean_s=self._latency.mean(),
+                queue_wait_mean_s=self._queue_wait.mean(),
+                service_mean_s=self._service.mean(),
                 batch_size_mean=batch_mean,
                 batch_occupancy_mean=(
                     batch_mean / self.max_batch if self.max_batch > 0 else 0.0
                 ),
-                queue_depth_max=(
-                    max(self._depth_samples) if self._depth_samples else 0
-                ),
-                queue_depth_mean=(
-                    float(np.mean(np.asarray(self._depth_samples)))
-                    if self._depth_samples
-                    else 0.0
-                ),
+                queue_depth_max=int(self._queue_depth.max()),
+                queue_depth_mean=self._queue_depth.mean(),
             )
-
-    @staticmethod
-    def now() -> float:
-        """The monotonic clock every serving timestamp uses."""
-        return time.monotonic()

@@ -1,14 +1,14 @@
-"""Prometheus text-exposition rendering of the serving metrics.
+"""Prometheus text-exposition rendering of metrics registries.
 
-:func:`render_prometheus` turns a
-:class:`~repro.serve.metrics.MetricsSnapshot` into the Prometheus text
-exposition format (version 0.0.4): monotone request/batch totals as
-``counter`` families, the live distribution statistics as ``gauge``
-families, plus one ``repro_serve_info`` labels metric carrying the
-deployment identity (scenario, design, pool mode).  Percentiles are
-exported as gauges rather than a fake ``summary`` — the snapshot's ring
-buffer already computed them, and a summary without ``_sum`` / ``_count``
-semantics would be a lie Prometheus clients act on.
+:func:`render_prometheus` joins the exposition lines of one or more
+:class:`~repro.obs.metrics.MetricsRegistry` instances into the Prometheus
+text format (version 0.0.4).  The serving runtime renders its own
+registry — the request / batch counters, the in-flight gauge, the
+latency / queue-wait / service / batch-size / queue-depth histograms and
+the ``repro_serve_info`` deployment labels — followed by the process
+registry (engine, sweep cache, shm arena).  Derived statistics (rates,
+percentiles, means) are left to the scraper: each one follows from a
+counter or a histogram's buckets, ``_sum`` and ``_count``.
 
 :class:`MetricsServer` serves the rendering over HTTP on a daemon side
 thread (stdlib ``ThreadingHTTPServer``; ``GET /metrics`` and a
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 __all__ = [
     "render_prometheus",
@@ -33,98 +33,10 @@ __all__ = [
 #: The content type of exposition format version 0.0.4.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-#: (snapshot attribute, metric suffix, type, help) of every exported family.
-_FAMILIES: Tuple[Tuple[str, str, str, str], ...] = (
-    ("submitted", "requests_submitted_total", "counter",
-     "Requests accepted into the queue."),
-    ("rejected", "requests_rejected_total", "counter",
-     "Requests refused by the backpressure policy."),
-    ("completed", "requests_completed_total", "counter",
-     "Requests served to completion."),
-    ("batches", "batches_total", "counter",
-     "Micro-batches dispatched to the replica pool."),
-    ("in_flight", "requests_in_flight", "gauge",
-     "Requests admitted but not yet completed."),
-    ("throughput_rps", "throughput_rps", "gauge",
-     "Completed requests per second over the observation window."),
-    ("latency_p50_s", "latency_p50_seconds", "gauge",
-     "Median end-to-end request latency."),
-    ("latency_p95_s", "latency_p95_seconds", "gauge",
-     "95th-percentile end-to-end request latency."),
-    ("latency_p99_s", "latency_p99_seconds", "gauge",
-     "99th-percentile end-to-end request latency."),
-    ("latency_mean_s", "latency_mean_seconds", "gauge",
-     "Mean end-to-end request latency."),
-    ("queue_wait_mean_s", "queue_wait_mean_seconds", "gauge",
-     "Mean time requests spent queued before dispatch."),
-    ("service_mean_s", "service_mean_seconds", "gauge",
-     "Mean replica service time per batch."),
-    ("batch_size_mean", "batch_size_mean", "gauge",
-     "Mean micro-batch size."),
-    ("batch_occupancy_mean", "batch_occupancy_mean", "gauge",
-     "Mean micro-batch fill fraction of max_batch."),
-    ("queue_depth_max", "queue_depth_max", "gauge",
-     "Maximum observed request-queue depth."),
-    ("queue_depth_mean", "queue_depth_mean", "gauge",
-     "Mean observed request-queue depth."),
-)
 
-
-def _escape_label(value: str) -> str:
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace("\n", "\\n")
-        .replace('"', '\\"')
-    )
-
-
-def _format_value(value: float) -> str:
-    number = float(value)
-    if number != number:  # NaN
-        return "NaN"
-    if number == int(number) and abs(number) < 1e15:
-        return str(int(number))
-    return repr(number)
-
-
-def render_prometheus(
-    snapshot,
-    *,
-    namespace: str = "repro_serve",
-    info: Optional[Mapping[str, str]] = None,
-    registries: Tuple = (),
-) -> str:
-    """The exposition-format text of one metrics snapshot.
-
-    Args:
-        snapshot: A :class:`~repro.serve.metrics.MetricsSnapshot` (any
-            object with the snapshot's attributes works).
-        namespace: Metric-name prefix.
-        info: Deployment identity labels exported as the constant-1
-            ``<namespace>_info`` gauge (e.g. scenario / design / pool).
-        registries: Extra :class:`~repro.obs.metrics.MetricsRegistry`
-            instances whose families (engine / sweep / shm counters, the
-            runtime's latency histograms) are appended after the snapshot
-            families; their names are already fully qualified, so the
-            namespace does not apply.
-    """
-    lines: List[str] = []
-    if info:
-        labels = ",".join(
-            f'{key}="{_escape_label(value)}"' for key, value in info.items()
-        )
-        lines.append(f"# HELP {namespace}_info Deployment identity labels.")
-        lines.append(f"# TYPE {namespace}_info gauge")
-        lines.append(f"{namespace}_info{{{labels}}} 1")
-    for attribute, suffix, family_type, help_text in _FAMILIES:
-        name = f"{namespace}_{suffix}"
-        value = getattr(snapshot, attribute)
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {family_type}")
-        lines.append(f"{name} {_format_value(value)}")
-    for registry in registries:
-        lines.extend(registry.render())
+def render_prometheus(*registries) -> str:
+    """The exposition-format text of *registries*, rendered in order."""
+    lines = [line for registry in registries for line in registry.render()]
     return "\n".join(lines) + "\n"
 
 

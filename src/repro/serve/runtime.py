@@ -39,8 +39,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..obs.tracer import get_tracer
-from ..obs.tracer import now as trace_now
+from ..obs.tracer import get_tracer, now
 from .batcher import CLOSE, MicroBatcher
 from .config import ServeConfig
 from .events import NullEventLog, open_event_log
@@ -65,11 +64,10 @@ class QueueFullError(RuntimeError):
 class InferenceRequest:
     """One queued request (internal envelope around a submitted image).
 
-    ``trace_ctx`` is the request span's pre-minted ``(trace_id, span_id)``
-    (None when tracing is off); the span itself is recorded at completion,
-    once its duration is known.  ``trace_arrival_s`` is the arrival stamp
-    on the *span* clock (``perf_counter``) — the metrics clock
-    (``monotonic``) is not interchangeable with it.
+    ``arrival_s`` is on the tracer clock (:func:`repro.obs.tracer.now`),
+    like every serving timestamp.  ``trace_ctx`` is the request span's
+    pre-minted ``(trace_id, span_id)`` (None when tracing is off); the
+    span itself is recorded at completion, once its duration is known.
     """
 
     request_id: int
@@ -77,7 +75,6 @@ class InferenceRequest:
     arrival_s: float
     future: Future = field(repr=False)
     trace_ctx: Optional[tuple] = None
-    trace_arrival_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -128,7 +125,16 @@ class ServeRuntime:
     ) -> None:
         self.config = config
         self.program = program
-        self.metrics = ServeMetrics(config.max_batch)
+        self.metrics = ServeMetrics(config.max_batch, config.queue_depth)
+        self.metrics.registry.gauge(
+            "repro_serve_info", "Deployment identity labels."
+        ).set(
+            1,
+            scenario=config.scenario,
+            design=config.design,
+            backend=config.backend,
+            pool=config.pool,
+        )
         #: The structured event sink (a no-op unless ``config.event_log``).
         self.events = NullEventLog()
         self._metrics_server: Optional[MetricsServer] = None
@@ -234,9 +240,8 @@ class ServeRuntime:
     def _render_metrics(self) -> str:
         """Fresh exposition text (called per ``/metrics`` scrape).
 
-        Appends the runtime's latency/wait/service histogram families and
-        the process-wide registry (engine kernel dispatches, sweep cache
-        hit/miss, shm arena events) after the snapshot families.
+        The runtime's own registry, then the process-wide one (engine
+        kernel dispatches, sweep cache hit/miss, shm arena events).
         """
         from ..obs.metrics import REGISTRY
 
@@ -246,16 +251,7 @@ class ServeRuntime:
         # program machinery imports them).
         from ..sweep import cache as _sweep_cache  # noqa: F401
 
-        return render_prometheus(
-            self.metrics.snapshot(),
-            info={
-                "scenario": self.config.scenario,
-                "design": self.config.design,
-                "backend": self.config.backend,
-                "pool": self.config.pool,
-            },
-            registries=(self.metrics.registry, REGISTRY),
-        )
+        return render_prometheus(self.metrics.registry, REGISTRY)
 
     @property
     def metrics_address(self):
@@ -330,10 +326,9 @@ class ServeRuntime:
         request = InferenceRequest(
             request_id=request_id,
             image=image,
-            arrival_s=ServeMetrics.now(),
+            arrival_s=now(),
             future=Future(),
             trace_ctx=tracer.new_context() if tracer.enabled else None,
-            trace_arrival_s=trace_now(),
         )
         with self._accept_lock:
             if not self._accepting:  # lost the race against stop()
@@ -402,8 +397,7 @@ class ServeRuntime:
             if batch is None:
                 self._slots.release()
                 return
-            dispatch_s = ServeMetrics.now()
-            trace_dispatch_s = trace_now()
+            dispatch_s = now()
             # Mint the batch span's ids now (recorded at completion): its
             # parent is the batch's first request, and the replica spans —
             # possibly in a worker process — parent under it, so one
@@ -431,13 +425,7 @@ class ServeRuntime:
                 last_request_id=batch[-1].request_id,
             )
             future.add_done_callback(
-                partial(
-                    self._on_batch_done,
-                    batch,
-                    dispatch_s,
-                    batch_ctx,
-                    trace_dispatch_s,
-                )
+                partial(self._on_batch_done, batch, dispatch_s, batch_ctx)
             )
 
     def _on_batch_done(
@@ -445,7 +433,6 @@ class ServeRuntime:
         batch: List[InferenceRequest],
         dispatch_s: float,
         batch_ctx: Optional[tuple],
-        trace_dispatch_s: float,
         future: Future,
     ) -> None:
         assert self._slots is not None
@@ -453,7 +440,7 @@ class ServeRuntime:
         with self._inflight_cond:
             self._inflight_batches -= 1
             self._inflight_cond.notify_all()
-        completion_s = ServeMetrics.now()
+        completion_s = now()
         assert self.program is not None
         try:
             predictions = future.result()
@@ -467,7 +454,7 @@ class ServeRuntime:
                 )
             self._mark_done(len(batch))
             return
-        self._record_batch_spans(batch, batch_ctx, trace_dispatch_s)
+        self._record_batch_spans(batch, batch_ctx, dispatch_s, completion_s)
         self.metrics.record_batch(len(batch), completion_s - dispatch_s)
         for request, prediction in zip(batch, predictions):
             response = InferenceResponse(
@@ -497,29 +484,29 @@ class ServeRuntime:
         self,
         batch: List[InferenceRequest],
         batch_ctx: Optional[tuple],
-        trace_dispatch_s: float,
+        dispatch_s: float,
+        completion_s: float,
     ) -> None:
         """Synthesize the request / queue / batch spans of one served batch.
 
-        The request and queue spans cover already-elapsed intervals (their
-        start is the request's trace-clock arrival stamp), so they are
-        recorded here with explicit timing.  The batch span is recorded
-        under its pre-minted context — the one the replica spans already
-        parented to — and the batch parents under its first request, which
-        gives that request the full connected tree
+        The spans cover already-elapsed intervals, so they are recorded
+        here with explicit timing: the same arrival, dispatch and
+        completion stamps the responses and the metrics carry.  The batch
+        span is recorded under its pre-minted context — the one the replica
+        spans already parented to — and the batch parents under its first
+        request, which gives that request the full connected tree
         ``request → queue → batch → replica → layer → kernel``.
         """
         tracer = get_tracer()
         if not tracer.enabled or batch_ctx is None:
             return
-        trace_completion_s = trace_now()
         anchor = next(
             (r.trace_ctx for r in batch if r.trace_ctx is not None), None
         )
         tracer.record_span(
             "batch",
-            start_s=trace_dispatch_s,
-            duration_s=trace_completion_s - trace_dispatch_s,
+            start_s=dispatch_s,
+            duration_s=completion_s - dispatch_s,
             parent=anchor,
             context=batch_ctx,
             size=len(batch),
@@ -530,17 +517,15 @@ class ServeRuntime:
                 continue
             tracer.record_span(
                 "queue",
-                start_s=request.trace_arrival_s,
-                duration_s=max(
-                    trace_dispatch_s - request.trace_arrival_s, 0.0
-                ),
+                start_s=request.arrival_s,
+                duration_s=dispatch_s - request.arrival_s,
                 parent=request.trace_ctx,
                 request_id=request.request_id,
             )
             tracer.record_span(
                 "request",
-                start_s=request.trace_arrival_s,
-                duration_s=trace_completion_s - request.trace_arrival_s,
+                start_s=request.arrival_s,
+                duration_s=completion_s - request.arrival_s,
                 context=request.trace_ctx,
                 request_id=request.request_id,
             )

@@ -149,6 +149,24 @@ class TestServeCommand:
         assert payload["events_tail"][-1]["event"] == "runtime_stop"
 
 
+class TestTraceCommand:
+    def test_prints_rollup_and_path_not_payload(self, tmp_path, capsys):
+        trace_path = tmp_path / "trace.json"
+        code = main([
+            "trace", str(REPO / "examples" / "configs" / "run.yaml"),
+            "--set", "workload.images=2", "--trace-path", str(trace_path),
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0].split() == [
+            "span", "count", "total", "exclusive", "mean"
+        ]
+        assert "characterise" in out
+        assert f"trace written to {trace_path}" in out
+        assert '"predictions"' not in out
+        assert trace_path.exists()
+
+
 class TestValidate:
     def test_shipped_examples_validate(self):
         configs = sorted((REPO / "examples" / "configs").glob("*.yaml"))

@@ -159,7 +159,8 @@ class TestTimed:
         (span,) = tracer.drain()
         assert span["name"] == "work"
         assert span["attrs"] == {"items": 2, "done": True}
-        assert span["duration_s"] == pytest.approx(t.duration_s, rel=0.5)
+        assert span["start_s"] == t.start_s
+        assert span["duration_s"] == t.duration_s
 
     def test_forwards_explicit_parent(self):
         tracer = Tracer()

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.obs.tracer import Tracer, set_tracer
 from repro.serve import ServeRuntime, parse_exposition, read_events
 
 
@@ -98,6 +99,41 @@ class TestMetricsEndpoint:
         ) as runtime:
             assert runtime.metrics_url is None
             assert runtime.metrics_address is None
+
+
+class TestOneClock:
+    def test_spans_equal_response_timings(
+        self, device_serve_config, device_program, request_images
+    ):
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            with ServeRuntime(device_serve_config, program=device_program) as runtime:
+                futures = [runtime.submit(image) for image in request_images]
+                responses = [future.result(timeout=30) for future in futures]
+        finally:
+            set_tracer(previous)
+        spans = tracer.drain()
+
+        def by_request(name):
+            return {
+                span["attrs"]["request_id"]: span
+                for span in spans
+                if span["name"] == name
+            }
+
+        requests, queues = by_request("request"), by_request("queue")
+        assert len(requests) == len(queues) == len(responses)
+        for response in responses:
+            request = requests[response.request_id]
+            queue = queues[response.request_id]
+            assert request["duration_s"] == response.latency_s
+            assert queue["duration_s"] == response.queue_wait_s
+            assert queue["start_s"] == request["start_s"]
+        batches = [span for span in spans if span["name"] == "batch"]
+        assert {span["duration_s"] for span in batches} == {
+            response.service_s for response in responses
+        }
 
 
 class TestProgramSwap:

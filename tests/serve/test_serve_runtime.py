@@ -1,6 +1,8 @@
 """ServeRuntime: lifecycle, backpressure, batch boundaries, metrics accounting."""
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -163,18 +165,64 @@ class TestMetricsAccounting:
         payload = snapshot.to_dict()
         assert payload["submitted"] == n
 
-    def test_distribution_history_is_bounded(self):
-        metrics = ServeMetrics(max_batch=4, history=2)
+    def test_means_cover_the_whole_lifetime(self):
+        metrics = ServeMetrics(max_batch=4, queue_depth=8)
         for step in range(5):
+            metrics.record_submitted(queue_depth=step, arrival_s=0.0)
             metrics.record_response(
                 latency_s=float(step), queue_wait_s=0.0, completion_s=float(step)
             )
         snapshot = metrics.snapshot()
-        # counters stay exact; distributions cover the trailing window only
+        # counters and means are exact over every recorded sample
         assert snapshot.completed == 5
-        assert snapshot.latency_mean_s == pytest.approx(3.5)
-        with pytest.raises(ValueError):
-            ServeMetrics(max_batch=4, history=0)
+        assert snapshot.latency_mean_s == 2.0
+        assert snapshot.queue_depth_mean == 2.0
+        assert snapshot.queue_depth_max == 4
+        assert snapshot.throughput_rps == 5 / 4.0
+
+    def test_identity_holds_under_concurrent_records(self):
+        metrics = ServeMetrics(max_batch=4, queue_depth=8)
+        per_thread, pairs = 1000, 2
+        broken = []
+        done = threading.Event()
+
+        def submitter():
+            for _ in range(per_thread):
+                metrics.record_submitted(queue_depth=1, arrival_s=0.0)
+
+        def completer():
+            for _ in range(per_thread):
+                metrics.record_response(0.001, 0.0, completion_s=1.0)
+
+        def reader():
+            while not done.is_set():
+                snap = metrics.snapshot()
+                if snap.submitted != snap.completed + snap.in_flight:
+                    broken.append(snap)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writers = [
+                threading.Thread(target=target)
+                for target in (submitter, completer)
+                for _ in range(pairs)
+            ]
+            watcher = threading.Thread(target=reader)
+            watcher.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=30)
+            done.set()
+            watcher.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [*writers, watcher])
+        assert broken == []
+        final = metrics.snapshot()
+        assert final.submitted == final.completed == per_thread * pairs
+        assert final.in_flight == 0
 
     def test_snapshot_mid_load_is_consistent(
         self, device_serve_config, device_program, request_images
