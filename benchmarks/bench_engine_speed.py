@@ -8,7 +8,8 @@ reduction modes — and writes the measurements to ``BENCH_engine.json`` at
 the repository root to seed the performance trajectory.  It also times
 CurFe cell characterisation (:meth:`ArrayState.build` with device variation)
 at deep_cnn's fc-layer shape, the cold-start cost of a device-detailed
-layer, in both modes.
+layer, in both modes, and the first-batch ADC reference calibration
+(:func:`reference_levels_for_plan`) of one group at that shape.
 
 Set ``REPRO_BENCH_TINY=1`` for a seconds-scale smoke run (CI): a smaller
 array, fewer repeats, and no speedup assertions (Python call overhead
@@ -23,8 +24,10 @@ import numpy as np
 
 from repro.core.inputs import InputVector
 from repro.core.macro import CurFeMacro, IMCMacroConfig
+from repro.core.weights import encode_weight_matrix
 from repro.devices.variation import DEFAULT_VARIATION
 from repro.engine import ArrayState
+from repro.quant.calibration import collect_block_partial_sums, reference_levels_for_plan
 from conftest import BENCH_TINY as TINY, emit, tiny
 
 INPUT_BITS = 8
@@ -43,6 +46,16 @@ CHARACTERISE_CONFIG = IMCMacroConfig(
 #: host only ever slows a sample down, and the tiny-band floor sits close
 #: to the throughput the solver has without its bias-factor hoisting.
 CHARACTERISE_REPEATS = 3
+
+#: The calibration group timed: deep_cnn's fc layer (768 x 96 8-bit
+#: weights) under 64 4-bit activation vectors, 5-bit ADC, 32-row blocks.
+#: Identical in full and tiny mode; the record keeps the fastest of 3.
+CALIBRATE_SHAPE = (768, 96)
+CALIBRATE_BATCH = 64
+CALIBRATE_INPUT_BITS = 4
+CALIBRATE_ADC_BITS = 5
+CALIBRATE_BLOCK_ROWS = 32
+CALIBRATE_REPEATS = 3
 
 
 def build_macro():
@@ -75,8 +88,40 @@ def time_characterisation():
     return state.high.on.size + state.low.on.size, min(samples)
 
 
+def time_calibration():
+    """(partial-sum samples, fastest seconds) of one group's level placement."""
+    rng = np.random.default_rng(0)
+    plan = encode_weight_matrix(rng.integers(-128, 128, size=CALIBRATE_SHAPE), 8)
+    activations = rng.integers(
+        0, 2**CALIBRATE_INPUT_BITS, size=(CALIBRATE_BATCH, CALIBRATE_SHAPE[0])
+    )
+    samples = sum(
+        collect_block_partial_sums(
+            nibbles,
+            activations,
+            input_bits=CALIBRATE_INPUT_BITS,
+            rows_per_block=CALIBRATE_BLOCK_ROWS,
+        ).size
+        for nibbles in (plan.high_nibbles, plan.low_nibbles)
+    )
+    seconds = []
+    for _ in range(CALIBRATE_REPEATS):
+        start = time.perf_counter()
+        reference_levels_for_plan(
+            plan.high_nibbles,
+            plan.low_nibbles,
+            activations,
+            adc_bits=CALIBRATE_ADC_BITS,
+            input_bits=CALIBRATE_INPUT_BITS,
+            rows_per_block=CALIBRATE_BLOCK_ROWS,
+        )
+        seconds.append(time.perf_counter() - start)
+    return samples, min(seconds)
+
+
 def run_measurements():
     cells, characterise_s = time_characterisation()
+    calibrate_samples, calibrate_s = time_calibration()
     macro, rng = build_macro()
     config = macro.config
     inputs = InputVector.random(config.rows, INPUT_BITS, rng)
@@ -119,6 +164,8 @@ def run_measurements():
         "speedup_matmat_fast": legacy_matvec / engine_matmat_fast,
         "characterise_cells": cells,
         "characterise_cells_per_s": cells / characterise_s,
+        "calibrate_samples": calibrate_samples,
+        "calibrate_samples_per_s": calibrate_samples / calibrate_s,
     }
 
 
@@ -140,6 +187,8 @@ def test_engine_speedup(benchmark):
                 f"({record['speedup_matmat_fast']:.1f}x)",
                 f"characterise (curfe):     {record['characterise_cells']} cells at "
                 f"{record['characterise_cells_per_s'] / 1e3:.0f}k cells/s",
+                f"calibrate (5b ADC):       {record['calibrate_samples']} samples at "
+                f"{record['calibrate_samples_per_s'] / 1e6:.1f}M samples/s",
                 f"record: {RECORD_PATH}",
             ]
         ),

@@ -306,8 +306,9 @@ class FunctionalIMCModel:
         Args:
             activations: Calibration batch, shape (batch, rows), unsigned
                 integers within the configured input precision.
-            max_samples: Cap on the number of partial-sum samples kept per
-                group (keeps calibration memory bounded).
+            max_samples: Per-group partial-sum sample budget; it fixes
+                which samples calibrate (see
+                :func:`~repro.quant.calibration.collect_block_partial_sums`).
 
         Returns:
             The calibrated level arrays, keyed by ``"high"`` and (for 8-bit

@@ -23,11 +23,21 @@ All of them run the *ideal* (noise-free) per-block partial sums of a
 calibration batch through the same 32-row blocking as inference
 (:func:`collect_block_partial_sums`) and place the ``2^adc_bits``
 reference levels with a Lloyd-Max (1-D k-means) iteration
-(:func:`lloyd_max_levels`).  Because the placement maths and the sample
+(:func:`lloyd_max_levels`; Lloyd, "Least squares quantization in PCM",
+IEEE Trans. Inf. Theory, 1982; Max, "Quantizing for minimum distortion",
+IRE Trans. Inf. Theory, 1960).  Because the placement maths and the sample
 collection are one shared code path, references computed by the
 functional model and by the device engine from the same samples are
 *identical* — and a tiled layer applying one level set to every row /
 column tile stays bit-identical to a single macro holding the padded layer.
+
+The iteration runs on the stream's histogram: a group's partial sums are
+0/1 bit planes times integer nibbles, so a stream of 200,000 samples
+holds only a few hundred distinct integers.  Each Lloyd step assigns the
+distinct values and forms every cell's sum and count from ``(value,
+count)`` pairs.  For integer-valued samples whose sums stay below 2^53
+every such sum is exact in float64 in any order, so the levels equal
+those of the per-sample iteration bit for bit.
 """
 
 from __future__ import annotations
@@ -49,8 +59,10 @@ __all__ = [
 #: ``"workload"`` programs the reference bank from a calibration batch.
 CALIBRATION_MODES = ("nominal", "workload")
 
-#: Default cap on the number of partial-sum samples kept per column group
-#: (keeps calibration memory bounded).
+#: Default number of partial-sum samples collected per column group.  The
+#: collector stops after the (bit plane, row block) chunk that reaches it,
+#: so the cap fixes *which* samples calibrate; it stays at this value
+#: because changing it would change the levels.
 DEFAULT_MAX_SAMPLES = 200_000
 
 
@@ -66,6 +78,15 @@ def lloyd_max_levels(
     ``num_levels`` distinct values the levels reproduce them exactly (the
     conversion becomes lossless).
 
+    The iteration runs on the histogram ``(value, count)`` of the samples:
+    each step assigns only the distinct values to their nearest level and
+    forms every cell's centroid from ``value * count`` and ``count`` sums.
+    For integer-valued samples (the partial sums
+    :func:`collect_block_partial_sums` yields) whose magnitudes and cell
+    sums stay below 2^53, every sum is exact in float64, so the levels are
+    bit-identical to a Lloyd iteration over the raw samples.  Float-valued
+    samples get the same centroids up to rounding.
+
     Args:
         samples: Observed partial-sum samples.
         num_levels: Number of ADC output levels (2^resolution).
@@ -77,22 +98,23 @@ def lloyd_max_levels(
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size == 0:
         raise ValueError("samples must not be empty")
-    unique_values = np.unique(samples)
-    if unique_values.size <= num_levels:
-        return unique_values
+    values, counts = np.unique(samples, return_counts=True)
+    if values.size <= num_levels:
+        return values
     # Initialise at evenly spaced quantiles of the *unique values* so sparse
-    # tails still receive levels, then run Lloyd iterations on the samples.
+    # tails still receive levels, then iterate on the (value, count) pairs.
     quantiles = np.linspace(0.0, 1.0, num_levels)
-    levels = np.quantile(unique_values, quantiles)
+    levels = np.quantile(values, quantiles)
     levels = np.unique(levels)
+    weighted = values * counts
     for _ in range(iterations):
         boundaries = 0.5 * (levels[:-1] + levels[1:])
-        assignment = np.searchsorted(boundaries, samples)
-        sums = np.bincount(assignment, weights=samples, minlength=levels.size)
-        counts = np.bincount(assignment, minlength=levels.size)
-        occupied = counts > 0
+        assignment = np.searchsorted(boundaries, values)
+        sums = np.bincount(assignment, weights=weighted, minlength=levels.size)
+        cell_counts = np.bincount(assignment, weights=counts, minlength=levels.size)
+        occupied = cell_counts > 0
         new_levels = levels.copy()
-        new_levels[occupied] = sums[occupied] / counts[occupied]
+        new_levels[occupied] = sums[occupied] / cell_counts[occupied]
         new_levels = np.unique(new_levels)
         if new_levels.size == levels.size and np.allclose(new_levels, levels):
             levels = new_levels
@@ -145,7 +167,9 @@ def collect_block_partial_sums(
         input_bits: Input precision (1..8).
         rows_per_block: Rows accumulated in the analog domain per
             conversion (32 in the paper).
-        max_samples: Cap on the number of partial-sum samples collected.
+        max_samples: Sample budget: collection stops after the (bit
+            plane, row block) chunk that reaches it, which fixes the
+            stream the levels are placed on.
 
     Returns:
         1-D float array of observed partial sums.
@@ -202,7 +226,8 @@ def reference_levels_for_plan(
         adc_bits: ADC resolution.
         input_bits: Input precision (1..8).
         rows_per_block: Analog accumulation depth.
-        max_samples: Per-group cap on collected samples.
+        max_samples: Per-group sample budget (see
+            :func:`collect_block_partial_sums`).
 
     Returns:
         Sorted level arrays keyed by ``"high"`` (and ``"low"`` when

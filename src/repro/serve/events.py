@@ -51,6 +51,7 @@ EVENT_TYPES = (
     "program_swap",
     "cache_hit",
     "cache_miss",
+    "cache_corrupt",
     "sweep_start",
     "job_finished",
     "sweep_finish",

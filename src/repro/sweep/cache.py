@@ -24,15 +24,18 @@ jobs, worker processes, and whole sweep runs:
 
 Entries are ``.npz`` files written atomically (temp file + ``os.replace``),
 so racing worker processes at worst duplicate a computation — they never
-read a torn entry.  Everything here is best-effort: a cold or deleted cache
-only costs time, never changes results (guarded by the serial-vs-parallel
-bit-identity tests).
+read a half-written entry.  An entry damaged on disk (truncated, emptied,
+overwritten) reads as a miss: it is moved aside as ``<key>.npz.corrupt``,
+counted, and the job recomputes and rewrites it.  Everything here is
+best-effort: a cold, deleted or damaged cache only costs time, never
+changes results (guarded by the serial-vs-parallel bit-identity tests).
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+import zipfile
 from pathlib import Path
 from typing import Dict, Mapping, Optional
 
@@ -60,11 +63,17 @@ __all__ = [
 KINDS = ("model", "programming", "calibration")
 
 #: Cache lookups per (kind, outcome), registered at import so the family
-#: appears on every /metrics scrape.
+#: appears on every /metrics scrape.  An unreadable entry counts both a
+#: ``miss`` and a ``corrupt``.
 _CACHE_EVENTS = REGISTRY.counter(
     "repro_sweep_cache_events_total",
-    "Sweep cache lookups by entry kind and hit/miss outcome",
+    "Sweep cache lookups by entry kind and hit/miss/corrupt outcome",
 )
+
+#: What ``np.load`` raises on a damaged ``.npz``: a truncated archive
+#: (``BadZipFile``), an empty file (``EOFError``), or bytes that are not an
+#: archive at all (``ValueError``, since pickles are refused).
+_UNREADABLE = (zipfile.BadZipFile, EOFError, ValueError)
 
 #: Separator between layer name and tensor name inside an ``.npz`` entry
 #: (layer names are Python identifiers, so ``"__"`` cannot collide).
@@ -198,7 +207,8 @@ class SweepCache:
             written entries, writes are atomic renames.
         events: Optional in-process event sink
             (:class:`~repro.serve.events.EventLog`); every counted lookup
-            also emits a ``cache_hit`` / ``cache_miss`` event.  Only wire
+            also emits a ``cache_hit`` / ``cache_miss`` event, and an
+            unreadable entry a ``cache_corrupt`` event.  Only wire
             one up for a cache handle that lives in the process owning the
             log — worker processes report through their job records
             instead.
@@ -228,15 +238,41 @@ class SweepCache:
         return self.root / kind / f"{key}.npz"
 
     def get(self, kind: str, key: str) -> Optional[Dict[str, np.ndarray]]:
-        """Load an entry, counting the hit/miss; None when absent."""
+        """Load an entry, counting the hit/miss; None when absent.
+
+        An entry that exists but cannot be read is a miss too: it is moved
+        aside as ``<key>.npz.corrupt``, counted with ``outcome="corrupt"``
+        and reported as a ``cache_corrupt`` event, so the caller recomputes
+        the state and :meth:`put` writes a fresh entry.
+        """
         path = self._path(kind, key)
-        if not path.exists():
+        try:
+            with np.load(path) as bundle:
+                arrays = {name: bundle[name] for name in bundle.files}
+        except FileNotFoundError:
             self._count(kind, key, hit=False)
             return None
-        with np.load(path) as bundle:
-            arrays = {name: bundle[name] for name in bundle.files}
+        except _UNREADABLE as error:
+            self._quarantine(kind, key, path, error)
+            self._count(kind, key, hit=False)
+            return None
         self._count(kind, key, hit=True)
         return arrays
+
+    def _quarantine(
+        self, kind: str, key: str, path: Path, error: Exception
+    ) -> None:
+        """Move an unreadable entry to ``<key>.npz.corrupt`` and report it."""
+        try:
+            os.replace(path, path.with_name(path.name + ".corrupt"))
+        except FileNotFoundError:
+            pass  # a racing reader already moved it aside
+        _CACHE_EVENTS.inc(kind=kind, outcome="corrupt")
+        if self.events is not None:
+            self.events.emit(
+                "cache_corrupt", kind=kind, key=key,
+                error=f"{type(error).__name__}: {error}",
+            )
 
     def put(self, kind: str, key: str, arrays: Mapping[str, np.ndarray]) -> None:
         """Store an entry atomically (last concurrent writer wins)."""

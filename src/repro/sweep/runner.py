@@ -400,7 +400,7 @@ def _run_device(
 
     cal_key = None
     if cache is not None and config.calibration == "workload":
-        with timed("calibrate"):
+        with timed("cache_lookup", kind="calibration"):
             cal_key = calibration_key(
                 config, wdigest, digest_arrays(workload.images), job.batch_size
             )

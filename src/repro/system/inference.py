@@ -307,13 +307,23 @@ class _QuantizedLayer:
         configured sample budget), mirroring how the FeFET reference bank
         is written to span the useful ADC input range.  Both backends use
         the shared placement maths of :mod:`repro.quant.calibration`; the
-        device path derives one layer-wide level set for every tile.
+        device path derives one layer-wide level set for every tile.  The
+        placement runs in a ``calibrate`` span (a no-op with tracing off).
         """
         budget = codes[: min(len(codes), self.config.calibration_samples)]
-        if self.config.backend == "device":
-            self.engine.calibrate_references(budget.T, bits=self.config.input_bits)
-        else:
-            self.engine.calibrate_adc_ranges(budget)
+        with get_tracer().span(
+            "calibrate",
+            layer=self.name,
+            backend=self.config.backend,
+            calibration_rows=int(budget.shape[0]),
+        ) as span:
+            if self.config.backend == "device":
+                levels = self.engine.calibrate_references(
+                    budget.T, bits=self.config.input_bits
+                )
+            else:
+                levels = self.engine.calibrate_adc_ranges(budget)
+            span.set(groups=len(levels))
 
     def matmul(self, activations: np.ndarray, activation_scale: float) -> np.ndarray:
         """Quantise activations, run the IMC matmul, and dequantise the result."""

@@ -79,6 +79,48 @@ class TestCharacteriseSpans:
         assert all(s["duration_s"] > 0 for s in spans)
 
 
+class TestCalibrateSpans:
+    @pytest.mark.parametrize("backend", ["device", "functional"])
+    def test_one_span_per_weight_layer_and_identical_levels(self, backend):
+        scenario = get_scenario("tiny_mlp")
+        config = InferenceConfig(backend=backend, design="curfe", seed=0)
+        model = scenario.build(seed=config.seed)
+        workload = scenario.workload(images=8, seed=7)
+
+        def run():
+            engine = QuantizedInferenceEngine(model, config)
+            predictions = engine.predict(workload.images)
+            levels = {
+                name: layer.calibration_levels() if backend == "device"
+                else layer.engine.adc_levels
+                for name, layer in engine.quantized_layers.items()
+            }
+            return predictions, levels
+
+        set_tracer(NULL_TRACER)
+        baseline, baseline_levels = run()
+        tracer = Tracer()
+        set_tracer(tracer)
+        traced, traced_levels = run()
+        spans = tracer.drain()
+        assert np.array_equal(baseline, traced)
+        assert baseline_levels.keys() == traced_levels.keys()
+        for name, levels in baseline_levels.items():
+            assert levels.keys() == traced_levels[name].keys() == {"high", "low"}
+            for key in levels:
+                assert np.array_equal(levels[key], traced_levels[name][key])
+        calibrate = [s for s in spans if s["name"] == "calibrate"]
+        assert [s["attrs"]["layer"] for s in calibrate] == list(
+            model.weight_layers()
+        )
+        by_id = {s["span_id"]: s for s in spans}
+        for span in calibrate:
+            assert span["attrs"]["backend"] == backend
+            assert span["attrs"]["calibration_rows"] == 8
+            assert span["attrs"]["groups"] == 2
+            assert by_id[span["parent_id"]]["name"] == "layer"
+
+
 class TestServePoolBitIdentity:
     @pytest.mark.parametrize("pool", ["thread", "process"])
     def test_serving_identical_with_tracing_on_and_off(

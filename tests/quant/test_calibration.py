@@ -16,6 +16,13 @@ from repro.quant.calibration import (
 
 
 class TestLloydMax:
+    """Properties of the placement on float-valued samples.
+
+    The bit-identity contract with the per-sample iteration holds for
+    integer-valued samples only; ``test_lloyd_oracle.py`` checks it on the
+    collector's streams.
+    """
+
     def test_few_distinct_values_reproduced_exactly(self):
         samples = np.array([3.0, -1.0, 3.0, 7.0, -1.0])
         levels = lloyd_max_levels(samples, num_levels=8)

@@ -6,8 +6,32 @@ import pytest
 from repro.chipsim.tiling import TiledLayerEngine
 from repro.devices.variation import DEFAULT_VARIATION
 from repro.sweep import SweepCache, arrays_from_state, restore_state
+from repro.obs.metrics import REGISTRY
 from repro.sweep.cache import calibration_key, programming_key
 from repro.system.inference import InferenceConfig
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+#: Ways an entry can be damaged on disk after an atomic write.
+DAMAGE = {
+    "truncated": _truncate,
+    "empty": lambda path: path.write_bytes(b""),
+    "garbage": lambda path: path.write_bytes(b"not an npz archive\n" * 8),
+}
+
+
+class _Events:
+    """An in-memory event sink."""
+
+    def __init__(self):
+        self.events = []
+
+    def emit(self, event, **fields):
+        self.events.append((event, fields))
 
 
 class TestSweepCacheStore:
@@ -47,6 +71,56 @@ class TestSweepCacheStore:
         cache.put("model", "k", {"a": np.zeros(2)})
         leftovers = [p.name for p in (tmp_path / "model").iterdir()]
         assert leftovers == ["k.npz"]
+
+
+class TestTornEntries:
+    """A damaged entry is a counted miss, moved aside, never an exception."""
+
+    @pytest.mark.parametrize("shm", ["shm", "no_shm"])
+    @pytest.mark.parametrize("getter", ["get", "get_layered", "get_layered_shared"])
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_entry_is_a_counted_miss(
+        self, tmp_path, monkeypatch, damage, getter, shm
+    ):
+        if shm == "no_shm":
+            monkeypatch.setattr("repro.sweep.cache.shm_available", lambda: False)
+        events = _Events()
+        cache = SweepCache(tmp_path, events=events)
+        layers = {"fc1": {"high": np.arange(40.0), "low": np.ones(3)}}
+        cache.put_layered("calibration", "k", layers)
+        entry = tmp_path / "calibration" / "k.npz"
+        DAMAGE[damage](entry)
+        events_total = REGISTRY.get("repro_sweep_cache_events_total")
+        corrupt_before = events_total.value(kind="calibration", outcome="corrupt")
+
+        assert getattr(cache, getter)("calibration", "k") is None
+        assert cache.stats()["misses"]["calibration"] == 1
+        assert cache.stats()["hits"]["calibration"] == 0
+        assert (
+            events_total.value(kind="calibration", outcome="corrupt")
+            == corrupt_before + 1
+        )
+        assert [name for name, _ in events.events] == ["cache_corrupt", "cache_miss"]
+        assert events.events[0][1]["key"] == "k"
+        assert not entry.exists()
+        assert (tmp_path / "calibration" / "k.npz.corrupt").exists()
+
+        # The caller recomputes and rewrites; the next lookup hits.
+        cache.put_layered("calibration", "k", layers)
+        loaded = cache.get_layered("calibration", "k")
+        np.testing.assert_array_equal(loaded["fc1"]["high"], np.arange(40.0))
+
+    def test_entry_moved_aside_by_a_racing_reader(self, tmp_path, monkeypatch):
+        cache = SweepCache(tmp_path)
+        cache.put("model", "k", {"a": np.zeros(2)})
+        _truncate(tmp_path / "model" / "k.npz")
+
+        def moved_already(src, dst):
+            raise FileNotFoundError(src)
+
+        monkeypatch.setattr("repro.sweep.cache.os.replace", moved_already)
+        assert cache.get("model", "k") is None
+        assert cache.misses["model"] == 1
 
 
 class TestCacheKeys:

@@ -112,6 +112,25 @@ class TestCacheBehaviour:
             r["cache"]["programming"] == "skipped" for r in result.records
         )
 
+    def test_torn_entries_are_recomputed_identically(self, tmp_path, monkeypatch):
+        # Read every entry from disk: a host arena published by the first
+        # run would otherwise answer the second run's lookups.
+        monkeypatch.setattr("repro.sweep.cache.shm_available", lambda: False)
+        first = SweepRunner(DEVICE_SPEC, cache_dir=tmp_path).run()
+        torn = []
+        for kind in ("programming", "calibration"):
+            for entry in sorted((tmp_path / kind).glob("*.npz")):
+                data = entry.read_bytes()
+                entry.write_bytes(data[: len(data) // 2])
+                torn.append(entry)
+        assert {entry.parent.name for entry in torn} == {"programming", "calibration"}
+        second = SweepRunner(DEVICE_SPEC, cache_dir=tmp_path).run()
+        assert second.deterministic_records() == first.deterministic_records()
+        for entry in torn:
+            assert entry.with_name(entry.name + ".corrupt").exists()
+            with np.load(entry) as bundle:  # rewritten by the second run
+                assert bundle.files
+
     def test_cache_totals_aggregate(self, tmp_path):
         result = SweepRunner(DEVICE_SPEC, cache_dir=tmp_path).run()
         totals = result.cache_totals()
