@@ -17,7 +17,11 @@ Two kernel granularities exist:
     returns the per-column analog contributions; the engine then applies
     the shared readout pipeline (TIA / charge sharing, ADC, nibble
     combine, shift-add) per plane.  ``"exact"``, ``"fast"`` and
-    ``"turbo"`` are plane kernels.
+    ``"turbo"`` are plane kernels.  ``"fast"`` and ``"turbo"`` reduce
+    against one cached table per group, (num_block_rows, block_rows,
+    banks*4) and contiguous: ``"fast"`` with an ``einsum`` whose inner loop
+    runs over the banks*4 axis, ``"turbo"`` with one BLAS gemm per block
+    row.
 
 ``level="layer"``
     The kernel consumes the **whole batch of input values** at once and
@@ -30,6 +34,15 @@ Two kernel granularities exist:
 
 Exactness
 ---------
+
+``"exact"`` is bit-identical to the per-device legacy loop; ``"fast"``
+differs from it only at ULP level in analog voltage (a different
+expression structure for the same sums).  ``"fast"`` adds the rows of each
+block one at a time in ascending order — bit planes are 0/1, so every
+product is exact — which makes it bit-identical across a tile grid and one
+padded macro, and to the per-cell row reduction it replaced
+(``tests/engine/test_plane_tables.py`` holds that oracle).  ``"turbo"``'s
+BLAS reduction reorders the sums: ULP-class differences from ``"fast"``.
 
 ``"fused"`` reproduces ``"turbo"`` bit for bit on both designs, calibrated
 and uncalibrated, on single engines and tile grids: every floating-point
@@ -49,6 +62,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from ..circuits.adc import CalibratedMACQuantizer
+from ..obs.tracer import get_tracer
 from .array_state import CURFE_DESIGN, NUM_COLUMNS
 
 __all__ = [
@@ -171,23 +185,87 @@ def _exact_reduce(engine, plane, key: str) -> np.ndarray:
     return contributions.sum(axis=3)
 
 
-def _fast_reduce(engine, plane, key: str) -> np.ndarray:
-    """Einsum row reduction (ULP-class voltage differences)."""
-    group = engine.state.group(key)
-    difference = engine.selected(key) - group.unselected
-    return group.unselected.sum(axis=2)[None] + np.einsum(
-        "njr,bjrc->nbjc", plane, difference
+def _plan_build(engine, kernel: str, key: str):
+    """The ``plan_build`` span around one group's one-time table build."""
+    cells = int(engine.state.group(key).on.size)
+    return get_tracer().span("plan_build", kernel=kernel, group=key, cells=cells)
+
+
+def _difference_table(engine, key: str) -> np.ndarray:
+    """``selected - unselected`` of one group in block-row-major layout.
+
+    Shape (num_block_rows, block_rows, banks, 4), contiguous: entry
+    ``[j, r, b, c]`` is the per-cell difference ``[b, j, r, c]``.  Every
+    element is computed with ``MacroEngine.selected``'s expression, so the
+    values are identical, but neither the per-cell stored bits nor the
+    selected tensor is cached: the tables built from this are the only
+    per-pattern state a ``"fast"``, ``"turbo"`` or ``"fused"`` engine keeps.
+    """
+    state = engine.state
+    group = state.group(key)
+    # Plan bits are (rows, banks, 4) with rows block-row-major, so this
+    # layout is a free reshape; the per-cell tensors are
+    # (banks, R, block_rows, 4) and are read through transposed views.
+    stored = engine._plan_bits(key).reshape(
+        state.num_block_rows, state.block_rows, state.banks, NUM_COLUMNS
     )
+    table = np.empty(stored.shape)
+    np.multiply(stored, group.on.transpose(1, 2, 0, 3), out=table)
+    table += (1 - stored) * group.off_selected.transpose(1, 2, 0, 3)
+    table -= group.unselected.transpose(1, 2, 0, 3)
+    return table
+
+
+def _plane_group_tables(engine, key: str, kernel: str) -> tuple:
+    """Cached plane-kernel operands for the stored pattern of one group.
+
+    Returns ``(table, unselected_sum)``: ``table`` is one contiguous
+    (num_block_rows, block_rows, banks*4) stack of selected-minus-
+    unselected contributions — ``table[j]`` is the right-hand operand of
+    block row ``j`` — and ``unselected_sum`` (banks, num_block_rows, 4)
+    holds the unselected-row sums.  ``"fast"`` and ``"turbo"`` share it
+    (*kernel* only labels the span of the build).  One array per group
+    keeps the operands exportable as a flat kernel plan (and mappable
+    zero-copy from a shared arena).
+    """
+    tables = engine._plane_tables.get(key)
+    if tables is None:
+        state = engine.state
+        with _plan_build(engine, kernel, key):
+            table = _difference_table(engine, key).reshape(
+                state.num_block_rows, state.block_rows, state.banks * NUM_COLUMNS
+            )
+            tables = (table, state.group(key).unselected.sum(axis=2))
+        engine._plane_tables[key] = tables
+    return tables
+
+
+def _fast_reduce(engine, plane, key: str) -> np.ndarray:
+    """Einsum row reduction against the cached plane table.
+
+    Bit planes are 0/1, so every product is exact, and einsum's inner loop
+    runs over the table's contiguous banks*4 axis, adding the rows of a
+    block one at a time in ascending order — the same sums, bit for bit,
+    as a row reduction over the per-cell (banks, R, block_rows, 4) tensor.
+    Keep einsum's default ``optimize=False``: the optimised path goes
+    through BLAS and reorders the sums (that is ``"turbo"``).
+    """
+    state = engine.state
+    table, unselected_sum = _plane_group_tables(engine, key, "fast")
+    reduced = np.einsum("njr,jrk->njk", plane, table).reshape(
+        plane.shape[0], state.num_block_rows, state.banks, NUM_COLUMNS
+    )
+    return unselected_sum[None] + reduced.transpose(0, 2, 1, 3)
 
 
 def _turbo_reduce(engine, plane, key: str) -> np.ndarray:
-    """BLAS gemm row reduction against cached difference tables."""
+    """BLAS gemm row reduction against the cached plane table."""
     state = engine.state
-    difference_t, unselected_sum = engine._turbo_group_tables(key)
+    table, unselected_sum = _plane_group_tables(engine, key, "turbo")
     batch = plane.shape[0]
     reduced = np.empty((batch, state.banks, state.num_block_rows, NUM_COLUMNS))
     for j in range(state.num_block_rows):
-        reduced[:, :, j, :] = (plane[:, j] @ difference_t[j]).reshape(
+        reduced[:, :, j, :] = (plane[:, j] @ table[j]).reshape(
             batch, state.banks, NUM_COLUMNS
         )
     return unselected_sum[None] + reduced
@@ -213,16 +291,16 @@ def _fused_group_tables(engine, key: str) -> tuple:
     tables = engine._fused_tables.get(key)
     if tables is None:
         state = engine.state
-        group = state.group(key)
-        # (banks, num_block_rows, block_rows, 4) like the stored pattern.
-        difference = engine.selected(key) - group.unselected
-        unselected_sum = group.unselected.sum(axis=2)  # (banks, R, 4)
-        if state.design == CURFE_DESIGN:
-            table = np.ascontiguousarray(difference.sum(axis=3).transpose(1, 2, 0))
-            offsets = np.ascontiguousarray(unselected_sum.sum(axis=2).T)
-        else:
-            table = np.ascontiguousarray(difference.transpose(3, 1, 2, 0))
-            offsets = np.ascontiguousarray(unselected_sum.transpose(2, 1, 0))
+        with _plan_build(engine, "fused", key):
+            # (num_block_rows, block_rows, banks, 4), built uncached.
+            difference = _difference_table(engine, key)
+            unselected_sum = state.group(key).unselected.sum(axis=2)  # (banks, R, 4)
+            if state.design == CURFE_DESIGN:
+                table = difference.sum(axis=3)
+                offsets = np.ascontiguousarray(unselected_sum.sum(axis=2).T)
+            else:
+                table = np.ascontiguousarray(difference.transpose(3, 0, 1, 2))
+                offsets = np.ascontiguousarray(unselected_sum.transpose(2, 1, 0))
         tables = (table, offsets)
         engine._fused_tables[key] = tables
     return tables
@@ -423,7 +501,7 @@ register_kernel(
     Kernel(
         name="fast",
         level="plane",
-        description="einsum row reduction (ULP-class voltage differences)",
+        description="einsum row reduction against the cached plane table",
         reduce_plane=_fast_reduce,
     )
 )
@@ -431,7 +509,7 @@ register_kernel(
     Kernel(
         name="turbo",
         level="plane",
-        description="cached-operand BLAS gemm row reduction",
+        description="BLAS gemm row reduction against the cached plane table",
         reduce_plane=_turbo_reduce,
     )
 )

@@ -16,13 +16,16 @@ sequential accumulation nesting as the legacy
 :meth:`repro.core.macro.IMCMacro.matvec_reference` loop, so the results are
 **bit-identical** — matvec, and matmat column-by-column, reproduce the
 per-device path float for float (the golden-equivalence suite asserts
-this).  ``method="fast"`` replaces the row reduction with an ``einsum`` —
-typically a further large speedup at DNN scale, identical to within a few
-ULPs of analog voltage (which only matters for voltages landing exactly on
-an ADC decision boundary).  ``method="turbo"`` goes one step further and
-routes the same row reduction through BLAS ``dgemm`` against per-block
-transposed difference tables cached at programming time (weights are
-stationary), with the same ULP-class caveat as ``fast``.
+this).  ``method="fast"`` reduces each bit plane with an ``einsum``
+against one cached, block-row-major difference table per group (weights
+are stationary) — typically a further large speedup at DNN scale,
+identical to ``exact`` within a few ULPs of analog voltage (which only
+matters for voltages landing exactly on an ADC decision boundary).  Its
+rows are added one at a time in ascending order, so ``fast`` itself is
+reproducible bit for bit: across a tile grid and one padded macro, and
+against the per-cell row reduction it replaced.  ``method="turbo"`` routes
+the same table through BLAS ``dgemm``, one gemm per block row, which
+reorders the sums (ULP-class differences from ``fast``).
 ``method="fused"`` hoists the whole pipeline to layer level — all bit
 planes packed into stacked gemm operands, readout/ADC/combine/shift-add as
 in-place array ops per 32-row block — and is bit-identical to ``turbo``
@@ -66,7 +69,7 @@ from ..circuits.reference_bank import ReferenceBank
 from ..core.bank import build_mac_quantizer
 from ..core.inputs import InputVector
 from ..core.readout import mac_range_for_group
-from ..core.weights import WeightPlan, encode_weight_matrix
+from ..core.weights import WeightPlan, encode_weight_matrix, nibble_to_bits
 from ..obs.metrics import REGISTRY
 from ..obs.tracer import get_tracer
 from ..quant.calibration import DEFAULT_MAX_SAMPLES, reference_levels_for_plan
@@ -98,6 +101,21 @@ _KERNEL_DISPATCHES = REGISTRY.counter(
 #: every tile engine of a layer, and every replica of a serving program,
 #: would otherwise rebuild identical converters.
 _NOMINAL_QUANTIZER_CACHE: dict = {}
+
+
+def _chunk_size(batch_chunk: Optional[int]) -> int:
+    """Validated ``batch_chunk``: None means :data:`DEFAULT_BATCH_CHUNK`."""
+    if batch_chunk is None:
+        return DEFAULT_BATCH_CHUNK
+    if (
+        isinstance(batch_chunk, bool)
+        or not isinstance(batch_chunk, (int, np.integer))
+        or batch_chunk < 1
+    ):
+        raise ValueError(
+            f"batch_chunk must be None or an int >= 1, got {batch_chunk!r}"
+        )
+    return int(batch_chunk)
 
 
 def _nominal_quantizer(signed: bool, block_rows: int, readout, adc_bits: int):
@@ -179,7 +197,7 @@ class MacroEngine:
         self._plan: Optional[WeightPlan] = None
         self._stored: Dict[str, np.ndarray] = {}
         self._selected: Dict[str, np.ndarray] = {}
-        self._turbo_tables: Dict[str, tuple] = {}
+        self._plane_tables: Dict[str, tuple] = {}
         self._fused_tables: Dict[str, tuple] = {}
         self._calibrated: Dict[str, CalibratedMACQuantizer] = {}
 
@@ -243,7 +261,7 @@ class MacroEngine:
         # replica stamped from a precompiled kernel plan never pays for it.
         self._stored = {}
         self._selected = {}
-        self._turbo_tables = {}
+        self._plane_tables = {}
         self._fused_tables = {}
         # New stored pattern -> any workload calibration derived from the
         # previous pattern is stale; fall back to the nominal references.
@@ -253,15 +271,27 @@ class MacroEngine:
     def _group_keys(self) -> tuple:
         return ("high", "low") if self.weight_bits == 8 else ("high",)
 
-    def stored_bits(self, key: str) -> np.ndarray:
-        """Stored per-cell bits of one group, (banks, R, block_rows, 4)."""
+    def _plan_bits(self, key: str) -> np.ndarray:
+        """One group's stored bits in plan layout, (rows, banks, 4).
+
+        Expanded from the plan's nibbles on every call instead of read
+        through the plan's cached ``high_bits`` / ``low_bits``, so a table
+        build leaves no per-cell bit tensor behind on the plan either.
+        """
         self._check_programmed()
+        if key == "high":
+            return nibble_to_bits(self._plan.high_nibbles, signed=True)
+        return nibble_to_bits(self._plan.low_nibbles, signed=False)
+
+    def stored_bits(self, key: str) -> np.ndarray:
+        """Stored per-cell bits of one group, (banks, R, block_rows, 4).
+
+        Cached for the ``"exact"`` kernel; the table kernels build from the
+        plan bits directly and keep only their tables.
+        """
         bits = self._stored.get(key)
         if bits is None:
-            plan_bits = (
-                self._plan.high_bits if key == "high" else self._plan.low_bits
-            )
-            bits = self._group_bits(plan_bits)
+            bits = self._group_bits(self._plan_bits(key))
             self._stored[key] = bits
         return bits
 
@@ -269,7 +299,8 @@ class MacroEngine:
         """Selected-row contribution of every cell for the stored pattern.
 
         ``stored ? on : off_selected`` — the same expression the legacy
-        blocks evaluate per conversion; computed once per group on demand.
+        blocks evaluate per conversion; computed once per group on demand
+        and cached for the ``"exact"`` kernel.
         """
         contribution = self._selected.get(key)
         if contribution is None:
@@ -278,32 +309,6 @@ class MacroEngine:
             contribution = stored * group.on + (1 - stored) * group.off_selected
             self._selected[key] = contribution
         return contribution
-
-    def _turbo_group_tables(self, key: str) -> tuple:
-        """Cached per-block gemm operands for the stored pattern of a group.
-
-        Returns ``(difference_t, unselected_sum)`` where ``difference_t``
-        is one contiguous (num_block_rows, block_rows, banks*4) stack —
-        ``difference_t[j]`` is the right-hand operand of block row ``j`` —
-        and ``unselected_sum`` has shape (banks, num_block_rows, 4).  One
-        array per group keeps the operands exportable as a flat kernel
-        plan (and mappable zero-copy from a shared arena).
-        """
-        tables = self._turbo_tables.get(key)
-        if tables is None:
-            state = self.state
-            group = state.group(key)
-            difference = self.selected(key) - group.unselected
-            difference_t = np.ascontiguousarray(
-                difference.transpose(1, 2, 0, 3).reshape(
-                    state.num_block_rows,
-                    state.block_rows,
-                    state.banks * NUM_COLUMNS,
-                )
-            )
-            tables = (difference_t, group.unselected.sum(axis=2))
-            self._turbo_tables[key] = tables
-        return tables
 
     def program_weights(self, weights: np.ndarray) -> WeightPlan:
         """Encode and program a signed weight matrix of shape (rows, banks)."""
@@ -340,10 +345,10 @@ class MacroEngine:
 
         After this call the first request served by the engine runs the hot
         path only — no lazy operand-table or LUT population.  Layer-level
-        kernels (``"fused"``) get their fused gemm tables,
-        plane-level ``"turbo"`` its stacked difference tables, other plane
-        kernels the selected-contribution tensor; the bucketed calibrated-
-        search LUT is built for every calibrated quantiser.
+        kernels (``"fused"``) get their fused gemm tables, ``"exact"`` the
+        selected-contribution tensor, and the other plane kernels
+        (``"fast"``, ``"turbo"``) their shared plane table; the bucketed
+        calibrated-search LUT is built for every calibrated quantiser.
         """
         from . import kernels as _kernels
 
@@ -352,10 +357,10 @@ class MacroEngine:
         for key in self._group_keys():
             if kernel.level == "layer":
                 _kernels._fused_group_tables(self, key)
-            elif device_exec == "turbo":
-                self._turbo_group_tables(key)
-            else:
+            elif device_exec == "exact":
                 self.selected(key)
+            else:
+                _kernels._plane_group_tables(self, key, device_exec)
         for quantizer in self._calibrated.values():
             _kernels._calibrated_lut(quantizer)
 
@@ -377,12 +382,12 @@ class MacroEngine:
                 table, offsets = self._fused_tables[key]
                 plan[f"{key}_table"] = table
                 plan[f"{key}_offsets"] = offsets
-            elif device_exec == "turbo":
-                difference_t, unselected_sum = self._turbo_tables[key]
-                plan[f"{key}_difference"] = difference_t
-                plan[f"{key}_unselected_sum"] = unselected_sum
-            else:
+            elif device_exec == "exact":
                 plan[f"{key}_selected"] = self._selected[key]
+            else:
+                table, unselected_sum = self._plane_tables[key]
+                plan[f"{key}_difference"] = table
+                plan[f"{key}_unselected_sum"] = unselected_sum
         return plan
 
     def apply_kernel_plan(
@@ -402,13 +407,13 @@ class MacroEngine:
                     arrays[f"{key}_table"],
                     arrays[f"{key}_offsets"],
                 )
-            elif device_exec == "turbo":
-                self._turbo_tables[key] = (
+            elif device_exec == "exact":
+                self._selected[key] = arrays[f"{key}_selected"]
+            else:
+                self._plane_tables[key] = (
                     arrays[f"{key}_difference"],
                     arrays[f"{key}_unselected_sum"],
                 )
-            else:
-                self._selected[key] = arrays[f"{key}_selected"]
         self.precompile(device_exec)
 
     # ------------------------------------------------------------ calibration
@@ -597,12 +602,14 @@ class MacroEngine:
             bits: Input precision (1..8).
             method: A kernel from :mod:`repro.engine.kernels` —
                 ``"exact"`` (bit-identical to column-stacked
-                :meth:`matvec`), ``"fast"`` (einsum row reduction,
-                ULP-level differences), ``"turbo"`` (cached-operand BLAS
-                gemm row reduction, same ULP-level caveat), or ``"fused"``
+                :meth:`matvec`), ``"fast"`` (einsum row reduction against
+                the cached plane table, ULP-level differences), ``"turbo"``
+                (BLAS gemm against the same table, same ULP-level caveat),
+                or ``"fused"``
                 (layer-level batched pipeline, bit-identical to turbo,
                 fastest).
-            batch_chunk: Input columns processed per internal chunk; bounds
+            batch_chunk: Input columns processed per internal chunk (None
+                or an int >= 1; None means ``DEFAULT_BATCH_CHUNK``); bounds
                 transient memory without affecting results.
 
         Returns:
@@ -611,7 +618,7 @@ class MacroEngine:
         """
         inputs = self._validated_inputs(inputs, bits, method)
         batch = inputs.shape[1]
-        chunk = batch_chunk or DEFAULT_BATCH_CHUNK
+        chunk = _chunk_size(batch_chunk)
         results = np.empty((self.banks, batch))
         for start in range(0, batch, chunk):
             stop = min(start + chunk, batch)
@@ -641,14 +648,14 @@ class MacroEngine:
             inputs: Integer array of shape (rows, batch); see :meth:`matmat`.
             bits: Input precision (1..8).
             method: Any registered kernel (see :meth:`matmat`).
-            batch_chunk: Input columns per internal chunk.
+            batch_chunk: Input columns per internal chunk (see :meth:`matmat`).
 
         Returns:
             Float array of shape (banks, num_block_rows, batch).
         """
         inputs = self._validated_inputs(inputs, bits, method)
         batch = inputs.shape[1]
-        chunk = batch_chunk or DEFAULT_BATCH_CHUNK
+        chunk = _chunk_size(batch_chunk)
         results = np.empty((self.banks, self.state.num_block_rows, batch))
         for start in range(0, batch, chunk):
             stop = min(start + chunk, batch)

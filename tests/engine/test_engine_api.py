@@ -139,6 +139,47 @@ class TestMacroEngineAPI:
             ArrayState.build("ideal", small_config())
 
 
+class TestBatchChunk:
+    """``batch_chunk`` is None or an int >= 1; anything else raises instead
+    of skipping the chunk loop (negative) or meaning the default (0)."""
+
+    @pytest.mark.parametrize("bad", [0, -2, 1.5, True, "4"])
+    def test_invalid_chunk_rejected(self, bad):
+        engine, _, rng = programmed_engine()
+        inputs = rng.integers(0, 16, size=(32, 5))
+        with pytest.raises(ValueError, match="batch_chunk"):
+            engine.matmat(inputs, bits=4, method="fast", batch_chunk=bad)
+        with pytest.raises(ValueError, match="batch_chunk"):
+            engine.matmat_blocks(inputs, bits=4, method="fast", batch_chunk=bad)
+
+    @pytest.mark.parametrize("method", ["fast", "fused"])
+    def test_tiled_engine_passes_it_through(self, method):
+        from repro.chipsim.tiling import TiledLayerEngine
+
+        rng = np.random.default_rng(4)
+        tiled = TiledLayerEngine(
+            rng.integers(-128, 128, size=(200, 20)), design="curfe",
+            variation=NO_VARIATION,
+        )
+        inputs = rng.integers(0, 16, size=(200, 5))
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="batch_chunk"):
+                tiled.matmat(inputs, bits=4, method=method, batch_chunk=bad)
+
+    @pytest.mark.parametrize("chunk", [1, 2, np.int64(3), 5, 64])
+    def test_valid_chunks_do_not_change_results(self, chunk):
+        engine, _, rng = programmed_engine()
+        inputs = rng.integers(0, 16, size=(32, 5))
+        assert np.array_equal(
+            engine.matmat(inputs, bits=4, method="fast", batch_chunk=chunk),
+            engine.matmat(inputs, bits=4, method="fast"),
+        )
+        assert np.array_equal(
+            engine.matmat_blocks(inputs, bits=4, method="fast", batch_chunk=chunk),
+            engine.matmat_blocks(inputs, bits=4, method="fast"),
+        )
+
+
 class TestSeedSemantics:
     def test_equal_configs_sample_identical_macros(self):
         config = small_config(variation=DEFAULT_VARIATION, seed=5)

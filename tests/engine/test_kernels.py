@@ -167,8 +167,8 @@ class TestPrecompiledPlanInvalidation:
     the precompiled operand tables and the calibrated-search LUT:
     ``program_weights`` invalidates everything, ``apply_reference_levels``
     swaps in fresh quantisers (hence fresh LUTs), ``clear_calibration``
-    reverts conversion to the nominal grid.  The pattern-derived fused /
-    turbo tables legitimately survive calibration changes — they depend
+    reverts conversion to the nominal grid.  The pattern-derived fused and
+    plane tables legitimately survive calibration changes — they depend
     only on the programmed cell state.
     """
 
@@ -181,9 +181,9 @@ class TestPrecompiledPlanInvalidation:
 
     def test_precompile_materialises_all_tables(self):
         engine, _, _ = self._calibrated_engine()
-        assert not engine._turbo_tables and not engine._fused_tables
+        assert not engine._plane_tables and not engine._fused_tables
         engine.precompile("turbo")
-        assert set(engine._turbo_tables) == set(engine._group_keys())
+        assert set(engine._plane_tables) == set(engine._group_keys())
         engine.precompile("fused")
         assert set(engine._fused_tables) == set(engine._group_keys())
         for quantizer in engine._calibrated.values():
@@ -195,7 +195,7 @@ class TestPrecompiledPlanInvalidation:
         engine.precompile("fused")
         new_weights = rng.integers(-128, 128, size=(64, 8))
         engine.program_weights(new_weights)
-        assert not engine._turbo_tables
+        assert not engine._plane_tables
         assert not engine._fused_tables
         assert not engine._calibrated
         # And the invalidated engine computes exactly what a never-
