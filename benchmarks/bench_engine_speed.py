@@ -43,8 +43,9 @@ CHARACTERISE_CONFIG = IMCMacroConfig(
 )
 
 #: Characterisation builds timed.  The record keeps the fastest: a busy
-#: host only ever slows a sample down, and the tiny-band floor sits close
-#: to the throughput the solver has without its bias-factor hoisting.
+#: host only ever slows a sample down, and both floors sit between the
+#: throughput of a select-based bisection step (0.18-0.23M cells/s on a
+#: 2-vCPU host) and the in-place branch-free step's (0.28-0.46M).
 CHARACTERISE_REPEATS = 3
 
 #: The calibration group timed: deep_cnn's fc layer (768 x 96 8-bit

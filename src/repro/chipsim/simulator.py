@@ -237,18 +237,26 @@ class ChipSimulator:
                 f"backend={config.backend!r}"
             )
         self.config = config
-        self.inference = QuantizedInferenceEngine(
-            model, config, layer_states=layer_states
-        )
-        self.performance_model = SystemPerformanceModel(
-            config.design,
-            input_bits=config.input_bits,
-            weight_bits=config.weight_bits,
-            adc_bits=config.adc_bits,
-            geometry=config.geometry,
-            chip=chip,
-            htree_params=htree_params,
-        )
+        # Cell characterisation happens here, so the cold set-up gets a
+        # root span of its own beside the later chipsim.run spans.
+        with get_tracer().span(
+            "chipsim.build",
+            network=self.network.name,
+            design=config.design,
+            layers=len(model.weight_layers()),
+        ):
+            self.inference = QuantizedInferenceEngine(
+                model, config, layer_states=layer_states
+            )
+            self.performance_model = SystemPerformanceModel(
+                config.design,
+                input_bits=config.input_bits,
+                weight_bits=config.weight_bits,
+                adc_bits=config.adc_bits,
+                geometry=config.geometry,
+                chip=chip,
+                htree_params=htree_params,
+            )
 
     # -------------------------------------------------------------- internals
 

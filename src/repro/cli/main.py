@@ -17,8 +17,6 @@ sweep     Execute a ``kind: sweep`` grid through
 serve     Stand up a ``kind: serve`` deployment, drive the closed-loop
           workload, report the metrics snapshot, a Prometheus scrape,
           and the tail of the JSONL event log.
-bench     Measure a ``kind: bench`` deployment at each configured client
-          concurrency (one shared chip program).
 trace     Run any runnable kind with tracing forced on; write a
           Perfetto-loadable trace file and print the exclusive-time
           rollup table (``repro.obs``) and the trace path.  The payload
@@ -45,7 +43,6 @@ __all__ = [
     "cmd_run",
     "cmd_sweep",
     "cmd_serve",
-    "cmd_bench",
     "cmd_trace",
     "cmd_validate",
 ]
@@ -186,49 +183,7 @@ def cmd_serve(document) -> Dict[str, Any]:
     return payload
 
 
-def cmd_bench(document) -> Dict[str, Any]:
-    """Measure a :class:`BenchDocument` across client concurrencies."""
-    from ..serve.loadgen import LoadGenerator
-    from ..serve.program import ChipProgram
-    from ..serve.runtime import ServeRuntime
-
-    config = document.serve
-    program = ChipProgram.build(config)
-    points: List[Dict[str, Any]] = []
-    for concurrency in document.concurrencies:
-        with ServeRuntime(config, program=program) as runtime:
-            generator = LoadGenerator(
-                program.calibration_images, seed=document.seed
-            )
-            result = generator.closed_loop(
-                runtime,
-                requests=document.requests,
-                concurrency=int(concurrency),
-            )
-        snapshot = result.metrics
-        points.append(
-            {
-                "concurrency": int(concurrency),
-                "requests": result.offered,
-                "completed": result.completed,
-                "throughput_rps": float(result.throughput_rps),
-                "latency_p50_s": snapshot.latency_p50_s,
-                "latency_p95_s": snapshot.latency_p95_s,
-                "batch_size_mean": snapshot.batch_size_mean,
-            }
-        )
-    return {
-        "kind": "bench",
-        "scenario": config.scenario,
-        "config": config.to_dict(),
-        "build_seconds": float(program.build_seconds),
-        "points": points,
-    }
-
-
-RUNNABLE_COMMANDS.update(
-    {"run": cmd_run, "sweep": cmd_sweep, "serve": cmd_serve, "bench": cmd_bench}
-)
+RUNNABLE_COMMANDS.update({"run": cmd_run, "sweep": cmd_sweep, "serve": cmd_serve})
 
 
 def run_with_obs(command, document, *, kind: str) -> Dict[str, Any]:
@@ -326,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro",
         description=(
             "Declarative entry points of the FeFET IMC reproduction: "
-            "run / sweep / serve / bench from schema-validated YAML."
+            "run / sweep / serve from schema-validated YAML."
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -353,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ("run", "one offline evaluation (kind: run)"),
         ("sweep", "a design-space grid (kind: sweep)"),
         ("serve", "a serving deployment under closed-loop load (kind: serve)"),
-        ("bench", "the serving benchmark shape (kind: bench)"),
     ):
         add_common(subparsers.add_parser(name, help=help_text))
 

@@ -11,7 +11,7 @@ Two layers compose:
   ``--set key=value`` overrides.
 
 :mod:`repro.config.documents` binds the two: the top-level ``kind: run |
-sweep | serve | bench`` document schemas the ``python -m repro`` CLI
+sweep | serve`` document schemas the ``python -m repro`` CLI
 consumes.  It is intentionally *not* imported here — documents imports the
 domain packages (which themselves import this package for their schemas),
 so the eager import would be circular.  Use

@@ -1,7 +1,7 @@
 """Top-level YAML document schemas of the ``python -m repro`` CLI.
 
 A config file is one *document*: a mapping with a required ``kind`` key
-selecting the entry point, plus that kind's sections.  The four kinds are
+selecting the entry point, plus that kind's sections.  The three kinds are
 
 ``kind: run``
     One offline inference run — ``scenario``, an ``inference:`` section
@@ -17,10 +17,6 @@ selecting the entry point, plus that kind's sections.  The four kinds are
     A serving deployment — a ``serve:`` section
     (:data:`~repro.serve.config.SERVE_SCHEMA`) plus a closed-loop
     ``workload:`` section (request count / client concurrency).
-
-``kind: bench``
-    The serving benchmark shape: one ``serve:`` section measured at a list
-    of client concurrencies.
 
 Documents arrive here *resolved* — :func:`repro.config.load_config` has
 already applied ``extends`` overlays, ``--set`` overrides, and ``${var}``
@@ -53,7 +49,6 @@ __all__ = [
     "RunDocument",
     "SweepDocument",
     "ServeDocument",
-    "BenchDocument",
     "parse_document",
     "document_to_dict",
 ]
@@ -222,47 +217,11 @@ SERVE_DOC_SCHEMA = ConfigSchema(
 )
 
 
-@dataclass(frozen=True)
-class BenchDocument:
-    """``kind: bench`` — one deployment measured across concurrencies."""
-
-    serve: ServeConfig = field(default_factory=ServeConfig)
-    requests: int = 64
-    concurrencies: tuple = (1, 4, 8)
-    seed: int = 123
-    obs: ObsConfig = field(default_factory=ObsConfig)
-
-    def __post_init__(self) -> None:
-        if self.requests < 1:
-            raise ValueError("bench requests must be positive")
-        object.__setattr__(self, "concurrencies", tuple(self.concurrencies))
-        if not self.concurrencies or any(c < 1 for c in self.concurrencies):
-            raise ValueError("bench concurrencies must be positive and non-empty")
-
-
-BENCH_DOC_SCHEMA = ConfigSchema(
-    "BenchDocument",
-    BenchDocument,
-    [
-        FieldSpec("serve", ServeConfig(),
-                  to_payload=_SERVE_TO, from_payload=_SERVE_FROM,
-                  doc="ServeConfig section"),
-        FieldSpec("requests", 64, doc="requests per concurrency point"),
-        FieldSpec("concurrencies", (1, 4, 8),
-                  to_payload=list, from_payload=tuple,
-                  doc="closed-loop client concurrencies to measure"),
-        FieldSpec("seed", 123, doc="seed of the request image draw"),
-        _OBS_FIELD,
-    ],
-)
-
-
 #: ``kind`` value -> (document schema, document class).
 DOCUMENT_KINDS: Dict[str, ConfigSchema] = {
     "run": RUN_SCHEMA,
     "sweep": SWEEP_DOC_SCHEMA,
     "serve": SERVE_DOC_SCHEMA,
-    "bench": BENCH_DOC_SCHEMA,
 }
 
 
@@ -271,8 +230,7 @@ def parse_document(payload: Mapping[str, Any]):
 
     The mapping must carry ``kind`` (one of :data:`DOCUMENT_KINDS`); the
     rest is validated by that kind's schema.  Returns a
-    :class:`RunDocument` / :class:`SweepDocument` / :class:`ServeDocument`
-    / :class:`BenchDocument`.
+    :class:`RunDocument` / :class:`SweepDocument` / :class:`ServeDocument`.
     """
     data = dict(payload)
     kind = data.pop("kind", None)

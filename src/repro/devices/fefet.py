@@ -24,8 +24,12 @@ The characteristic is a standard interpolated-MOS model::
 
 which reduces to exponential subthreshold conduction for ``Vgs << Vth`` and
 to a square-law saturation current for ``Vgs >> Vth``, with a smooth
-triode-to-saturation transition in ``Vds``.  The same expression (with
-swapped voltage polarities) models the pFeFET.
+triode-to-saturation transition in ``Vds``.  The same expression models the
+pFeFET with the overdrive mirrored (``Vth - Vgs``); the device is
+symmetric, so ``Vds`` enters as ``|Vd - Vs|`` for either polarity.  The
+drain part (:func:`fefet_current_from_factor`) can evaluate into buffers
+the caller owns, which is how the CurFe series solver runs its 60-step
+bisection without allocating a temporary per step.
 """
 
 from __future__ import annotations
@@ -159,27 +163,40 @@ def fefet_bias_factor(vg, vs, vth, params: FeFETParameters) -> np.ndarray:
     return p.transconductance * (n * vt) ** 2 * softplus * softplus
 
 
-def fefet_current_from_factor(factor, vd, vs, params: FeFETParameters) -> np.ndarray:
+def fefet_current_from_factor(
+    factor, vd, vs, params: FeFETParameters, *, out=None, work=None
+) -> np.ndarray:
     """Drain current (A) from a :func:`fefet_bias_factor` and the drain bias.
 
     Applies the drain-voltage part of the model: source/drain folding, the
     triode-to-saturation term, channel-length modulation, the leakage floor
     and the compliance clamp.
+
+    A solver that evaluates the model at every iterate passes its own
+    buffers: ``out`` (the broadcast shape of all inputs) receives the
+    current and ``work`` (the shape of ``vd - vs``; ``vd`` may be ``work``
+    itself) is overwritten, so the call allocates nothing.  Without them
+    every step allocates its result, as a plain expression would; both ways
+    run the same operations and give the same floats.
     """
     p = params
     vt = _THERMAL_VOLTAGE
-    vds = np.asarray(vd, dtype=float) - np.asarray(vs, dtype=float)
-    if p.polarity == "p":
-        vds = -vds
-    # Symmetric device: swap source and drain.
-    vds = np.where(vds < 0, -vds, vds)
-    # Triode-to-saturation transition and channel-length modulation.
-    channel = factor * (
-        (1.0 - np.exp(-vds / vt)) * (1.0 + p.channel_length_modulation * vds)
+    vds = np.subtract(
+        np.asarray(vd, dtype=float), np.asarray(vs, dtype=float), out=work
     )
-    current = channel + p.leakage_current
+    # Symmetric device: swap source and drain, for either polarity (a zero
+    # of either sign gives the same current, as exp(±0) = 1).
+    vds = np.abs(vds, out=work)
+    # Channel-length modulation and the triode-to-saturation transition;
+    # ``vds / -vt`` is exactly ``-vds / vt``.
+    modulation = np.add(
+        1.0, np.multiply(p.channel_length_modulation, vds, out=out), out=out
+    )
+    triode = np.subtract(1.0, np.exp(np.divide(vds, -vt, out=work), out=work), out=work)
+    channel = np.multiply(factor, np.multiply(triode, modulation, out=out), out=out)
+    current = np.add(channel, p.leakage_current, out=out)
     # Compliance clamp: real FeFET read paths saturate.
-    return np.minimum(current, p.max_on_current)
+    return np.minimum(current, p.max_on_current, out=out)
 
 
 class FeFET:

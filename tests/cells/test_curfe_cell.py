@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cells import curfe_cell
 from repro.cells.curfe_cell import (
@@ -19,7 +21,7 @@ from repro.devices.fefet import (
     fefet_current_from_factor,
     fefet_drain_current,
 )
-from repro.devices.variation import DEFAULT_VARIATION
+from repro.devices.variation import DEFAULT_VARIATION, NO_VARIATION
 
 
 def reference_drain_current(vg, vd, vs, vth, p):
@@ -70,22 +72,60 @@ def reference_series_currents(drop, gate, source, resistance, vth, params):
     return np.where(drop <= 0, 0.0, result)
 
 
-def random_cell_biases(size, seed=0):
-    """Mixed data/sign, stored 0/1, selected/unselected CurFe cell biases."""
+def random_cell_biases(
+    size, seed=0, *, sign=0.25, selected=0.7, stored=0.5, variation=DEFAULT_VARIATION
+):
+    """Mixed data/sign, stored 0/1, selected/unselected CurFe cell biases.
+
+    ``sign``, ``selected`` and ``stored`` are the expected shares of sign
+    cells, selected wordlines and stored '1's.
+    """
     rng = np.random.default_rng(seed)
     params = CurFeCellParameters()
-    sign = rng.random(size) < 0.25
-    drop = np.where(sign, params.sign_supply_voltage - params.common_mode_voltage,
+    is_sign = rng.random(size) < sign
+    drop = np.where(is_sign, params.sign_supply_voltage - params.common_mode_voltage,
                     params.common_mode_voltage)
-    gate = np.where(rng.random(size) < 0.7, params.read_voltage, params.idle_voltage)
-    source = np.where(sign, params.common_mode_voltage, 0.0)
+    gate = np.where(rng.random(size) < selected, params.read_voltage, params.idle_voltage)
+    source = np.where(is_sign, params.common_mode_voltage, 0.0)
     significance = rng.integers(0, 4, size)
     resistance = params.base_resistance / 2.0**significance * (
-        1.0 + DEFAULT_VARIATION.draw_resistor_tolerance(rng, size=size)
+        1.0 + variation.draw_resistor_tolerance(rng, size=size)
     )
-    vth = np.where(rng.random(size) < 0.5, params.low_vth, params.high_vth)
-    vth = vth + DEFAULT_VARIATION.draw_vth_offset(rng, size=size)
+    vth = np.where(rng.random(size) < stored, params.low_vth, params.high_vth)
+    vth = vth + variation.draw_vth_offset(rng, size=size)
     return drop, gate, source, resistance, vth
+
+
+@st.composite
+def series_cases(draw):
+    """Solver inputs around the chunk size that reach every branch.
+
+    Draws 0-d scalars, one cell and ``SOLVE_CHUNK ± 1`` cells with a drawn
+    data/sign, selected and stored mix, with or without variation; then
+    sets drawn shares of the cells to a non-positive drop, to
+    ``vth = 100`` (resistor-limited without leakage) and to ``R = 1e13``
+    (off).
+    """
+    size = draw(st.sampled_from([None, 1, SOLVE_CHUNK - 1, SOLVE_CHUNK + 1]))
+    shares = st.sampled_from([0.0, 0.02, 0.3, 1.0])
+    seed = draw(st.integers(0, 2**16))
+    drop, gate, source, resistance, vth = random_cell_biases(
+        size or 1,
+        seed,
+        sign=draw(shares),
+        selected=draw(shares),
+        stored=draw(shares),
+        variation=draw(st.sampled_from([DEFAULT_VARIATION, NO_VARIATION])),
+    )
+    rng = np.random.default_rng(seed + 1)
+    drop[rng.random(drop.size) < draw(shares)] = draw(st.sampled_from([0.0, -0.0, -0.25]))
+    vth[rng.random(vth.size) < draw(shares)] = 100.0
+    resistance[rng.random(resistance.size) < draw(shares)] = 1e13
+    biases = (drop, gate, source, resistance, vth)
+    if size is None:
+        biases = tuple(float(array[0]) for array in biases)
+    leak_free = FeFETParameters(leakage_current=0.0)
+    return biases + (draw(st.sampled_from([DEFAULT_NFEFET_PARAMS, leak_free])),)
 
 
 class TestCurFeCellParameters:
@@ -173,7 +213,15 @@ class TestCurFeCell:
 
 
 class TestSeriesSolverBitIdentity:
-    """The chunked, factor-hoisting solver equals the whole-array bisection."""
+    """The chunked, in-place solver equals the whole-array bisection."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(series_cases())
+    def test_property_equals_whole_array_oracle(self, case):
+        current = curfe_series_currents(*case)
+        expected = reference_series_currents(*case)
+        assert current.shape == expected.shape == np.shape(case[0])
+        assert np.array_equal(current, expected)
 
     @pytest.mark.parametrize(
         "size", [1, SOLVE_CHUNK - 1, SOLVE_CHUNK, SOLVE_CHUNK + 1, 3 * SOLVE_CHUNK + 5]
@@ -280,9 +328,35 @@ class TestSeriesSolverBitIdentity:
         rng = np.random.default_rng(2)
         vg, vd, vs = rng.uniform(-1.5, 1.5, (3, 2048))
         vth = rng.uniform(-1.0, 2.0, 2048)
-        composed = fefet_current_from_factor(
-            fefet_bias_factor(vg, vs, vth, params), vd, vs, params
+        factor = fefet_bias_factor(vg, vs, vth, params)
+        composed = fefet_current_from_factor(factor, vd, vs, params)
+        buffered = fefet_current_from_factor(
+            factor, vd, vs, params, out=np.empty(2048), work=np.empty(2048)
         )
         current = fefet_drain_current(vg, vd, vs, vth, params)
         assert np.array_equal(current, composed)
+        assert np.array_equal(current, buffered)
         assert np.array_equal(current, reference_drain_current(vg, vd, vs, vth, params))
+
+    @pytest.mark.parametrize("params", [DEFAULT_NFEFET_PARAMS, DEFAULT_PFEFET_PARAMS])
+    def test_signed_zero_drain_bias_folds_to_the_same_current(self, params):
+        # vd - vs is exactly +0.0 (vd == vs) or -0.0 (-0.0 - 0.0).  abs
+        # folds both to +0.0; the oracle's sign test passes the zero
+        # through with its sign (flipped for p).  exp(±0) = 1 either way.
+        vd = np.array([0.0, -0.0, 0.5, -0.0])
+        vs = np.array([0.0, 0.0, 0.5, 0.0])
+        assert np.signbit(vd - vs).tolist() == [False, True, False, True]
+        vg = np.array([1.2, 1.2, 0.0, -1.2])
+        vth = np.array([0.3, -0.4, 2.0, 0.3])
+        factor = fefet_bias_factor(vg, vs, vth, params)
+        expected = reference_drain_current(vg, vd, vs, vth, params)
+        for current in (
+            fefet_current_from_factor(factor, vd, vs, params),
+            fefet_current_from_factor(factor, vd, vs, params, out=np.empty(4), work=np.empty(4)),
+            fefet_drain_current(vg, vd, vs, vth, params),
+        ):
+            assert current.tobytes() == expected.tobytes()
+        for scalar in (0.0, -0.0):
+            assert fefet_drain_current(1.2, scalar, 0.0, 0.3, params) == float(
+                reference_drain_current(1.2, scalar, 0.0, 0.3, params)
+            )

@@ -6,7 +6,6 @@ import pytest
 
 from repro.config import UnknownKeyError, load_config, loads_config
 from repro.config.documents import (
-    BenchDocument,
     RunDocument,
     ServeDocument,
     SweepDocument,
@@ -31,7 +30,6 @@ class TestRoundTrips:
             ),
             SweepDocument(spec=SweepSpec(scenarios=("tiny_mlp",)), workers=2),
             ServeDocument(serve=ServeConfig(replicas=3, metrics_port=0)),
-            BenchDocument(requests=16, concurrencies=(1, 2)),
         ],
     )
     def test_document_payload_round_trips(self, document):
@@ -70,6 +68,13 @@ class TestKindDispatch:
     def test_unknown_kind_suggests(self):
         with pytest.raises(UnknownKeyError, match="did you mean 'serve'"):
             parse_document({"kind": "server"})
+
+    def test_removed_bench_kind_is_unknown(self):
+        with pytest.raises(
+            UnknownKeyError,
+            match=r"unknown config kind 'bench'; known kinds: \['run', 'serve', 'sweep'\]",
+        ):
+            parse_document({"kind": "bench", "requests": 16, "concurrencies": [1, 2]})
 
     def test_unknown_scenario_suggests(self):
         with pytest.raises(ValueError, match="tiny_mlp"):

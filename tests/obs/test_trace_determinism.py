@@ -68,7 +68,8 @@ class TestCharacteriseSpans:
         tracer = Tracer()
         set_tracer(tracer)
         simulator, traced = build_and_run()
-        spans = [s for s in tracer.drain() if s["name"] == "characterise"]
+        collected = tracer.drain()
+        spans = [s for s in collected if s["name"] == "characterise"]
         assert np.array_equal(baseline, traced)
         states = simulator.inference.layer_array_states()
         assert len(spans) == len(states) == len(model.weight_layers())
@@ -77,6 +78,20 @@ class TestCharacteriseSpans:
         ]
         assert all(s["attrs"]["design"] == "curfe" for s in spans)
         assert all(s["duration_s"] > 0 for s in spans)
+        # Construction is one root span, and every characterisation sits
+        # under it rather than outside every trace root.
+        (build,) = [s for s in collected if s["name"] == "chipsim.build"]
+        assert build["parent_id"] is None
+        assert build["attrs"] == {
+            "network": scenario.name,
+            "design": "curfe",
+            "layers": len(model.weight_layers()),
+        }
+        by_id = {s["span_id"]: s for s in collected}
+        for span in spans:
+            while span["parent_id"] is not None:
+                span = by_id[span["parent_id"]]
+            assert span is build
 
 
 class TestCalibrateSpans:
