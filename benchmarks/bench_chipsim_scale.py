@@ -148,10 +148,10 @@ def test_chipsim_scale(benchmark):
     for name, result in record["scenarios"].items():
         assert result["bit_identical_fused"], name
     if not TINY:
-        # Acceptance: the per-tile turbo kernel does not lose to the fast
+        # Acceptance: the turbo kernel does not lose to the fast
         # kernel on the deeper-CNN scenario (both reduce against the same
         # cached plane table, turbo with one BLAS gemm per block row), and
-        # the fused layer-level kernel is >=3x the per-tile turbo kernel on
+        # the fused layer-level kernel is >=3x the turbo kernel on
         # the same workload.
         assert record["scenarios"]["deep_cnn"]["speedup_turbo_vs_fast"] >= 1.0, record
         assert record["scenarios"]["deep_cnn"]["speedup_fused_vs_turbo"] >= 3.0, record

@@ -7,8 +7,10 @@ ADC × calibration grid on the device-detailed tiled path, three ways:
    calibration setup (the misses populate the content-addressed cache);
 2. **parallel (2 workers), warm cache** — the same grid again; the records
    must be *bit-identical* to the serial run (the runner's core contract);
-3. **single-job warm probe** — the first job once more, measuring the
-   job-level speedup the cache delivers against that job's cold wall time.
+3. **single-job cache probe** — the first job twice more, each timed by
+   the same pair of clock reads around ``run_job`` in this process: once
+   into a fresh empty cache (cold) and once into the populated cache
+   (warm); their ratio is the job-level speedup the cache delivers.
 
 The merged record — per-job accuracy/fidelity, modeled TOPS/W and
 energy/latency, host throughput, Pareto fronts, cache counters, and the
@@ -49,6 +51,13 @@ SPEC = SweepSpec(
 )
 
 
+def timed_job(job, cache_dir):
+    """Wall time of one ``run_job`` call, read around the call."""
+    start = time.perf_counter()
+    run_job(job.to_dict(), cache_dir)
+    return time.perf_counter() - start
+
+
 def run_measurements():
     with tempfile.TemporaryDirectory(prefix="sweep-cache-") as cache_dir:
         serial = SweepRunner(SPEC, workers=1, cache_dir=cache_dir).run()
@@ -56,12 +65,12 @@ def run_measurements():
             SPEC, workers=PARALLEL_WORKERS, cache_dir=cache_dir
         ).run()
 
-        # Warm single-job probe: the first job again, all caches hot.
+        # Single-job probe, both sides timed alike: the first job into a
+        # fresh empty cache, then into the populated one.
         probe_job = SPEC.expand()[0]
-        cold_s = serial.record(probe_job.job_id)["timing"]["wall_s"]
-        warm_start = time.perf_counter()
-        run_job(probe_job.to_dict(), cache_dir)
-        warm_s = time.perf_counter() - warm_start
+        with tempfile.TemporaryDirectory(prefix="sweep-cold-") as cold_dir:
+            cold_s = timed_job(probe_job, cold_dir)
+        warm_s = timed_job(probe_job, cache_dir)
 
     record = serial.to_record()
     record.update(
@@ -102,7 +111,7 @@ def test_sweep_grid(benchmark):
         f"bit-identical: {record['serial_equals_parallel']}",
         f"cache: serial {record['cache_totals']} -> "
         f"parallel {record['parallel']['cache_totals']}",
-        f"warm-cache probe ({record['cache_probe']['job_id']}): "
+        f"cache probe ({record['cache_probe']['job_id']}): "
         f"{record['cache_probe']['cold_s']:.3f} s cold -> "
         f"{record['cache_probe']['warm_s']:.3f} s warm "
         f"({record['cache_probe']['speedup']:.2f}x)",

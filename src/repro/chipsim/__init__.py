@@ -1,11 +1,11 @@
 """Mapping-driven chip simulator: one tiled-macro execution path for
 accuracy, performance, and energy.
 
-The subsystem shards every layer of a trained network across a grid of
-real 128×16 macro tiles (:mod:`repro.chipsim.tiling`), executes batched
-device-detailed inference through the per-tile
-:class:`~repro.engine.MacroEngine` objects, and co-reports accuracy with
-energy / latency priced from the counted activity of the very same pass
+The subsystem maps every layer of a trained network onto a grid of real
+128×16 macro tiles (:mod:`repro.chipsim.tiling`), executes batched
+device-detailed inference through one :class:`~repro.engine.MacroEngine`
+per layer, and co-reports accuracy with energy / latency priced from the
+tile activity counted in the very same pass
 (:mod:`repro.chipsim.simulator`).  :mod:`repro.chipsim.scenarios` provides
 networks large enough to exercise multi-tile mapping.
 """

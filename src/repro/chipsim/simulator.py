@@ -4,7 +4,7 @@
 executable object.  It maps every conv / linear layer of a trained model
 onto the macro tile grid (via :func:`repro.system.mapping.map_layer` /
 :func:`repro.chipsim.tiling.plan_tiles`), runs batched quantised inference
-through the device-detailed tile engines, counts the hardware activity the
+through the device-detailed layer engines, counts the hardware activity the
 run actually caused, and prices that activity with the NeuroSim-style
 system model — so the Fig. 10 accuracy and the Figs. 11-12 energy /
 latency / TOPS/W come from the *same* simulated hardware doing the *same*

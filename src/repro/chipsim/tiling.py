@@ -1,10 +1,12 @@
-"""Tiled execution of one layer's weight matrix across a grid of real macros.
+"""One layer's weight matrix on the chip's macro grid.
 
 The paper's chip stores weights stationary on 128×128b macros (16 8-bit
 weight columns each).  A layer whose unrolled weight matrix exceeds one
 macro is sharded across a tile grid: **row tiles** each hold up to 128
 consecutive weight rows and their digital partial sums are accumulated
 across tiles, **column tiles** own disjoint output channels.
+:func:`plan_tiles` lays that grid out, and the activity counters below
+price it.
 
 Equivalence to one padded macro
 -------------------------------
@@ -12,24 +14,26 @@ Equivalence to one padded macro
 :class:`TiledLayerEngine` characterises the *full* layer array once — with
 ``ArrayState.build`` on the configuration of a single macro holding the
 zero-padded layer (rows rounded up to whole 32-row blocks, one bank per
-output column) — and gives every tile engine a *view* of that state
-(:meth:`~repro.engine.array_state.ArrayState.tile_view`).  Per-block ADC
-results are therefore float-for-float those of that single macro, and the
-cross-tile digital accumulation walks the blocks of all row tiles in
-**global block order**, reproducing its accumulation nesting exactly.
-``matmat`` results equal a :class:`~repro.engine.MacroEngine` on the same
-state with zero-padded weights and inputs, bit for bit, for
-``method="exact"`` and ``method="fast"`` alike (the test suite enforces
-this); ``"turbo"`` (cached BLAS operands) carries the engine's documented
-ULP-class caveat.
+output column) — and programs one :class:`~repro.engine.MacroEngine` on
+it.  Every kernel runs on that engine, so ``matmat`` *is* that macro's
+output, bit for bit.  It is also what the chip's grid computes: each tile
+converts the blocks of its own region of the state, and the row tiles'
+block totals are added in global block order — the one macro's own
+accumulation nesting.  The test suite pins ``exact`` and ``fast`` against
+an engine built independently on the same state.
 
 Parallelism
 -----------
 
-Tiles are independent until the final accumulation, so their conversions
-run in a thread pool of ``min(num_tiles, os.cpu_count())`` threads (numpy
-releases the GIL inside the heavy kernels); single-tile layers and
-single-core hosts stay serial.
+Plane kernels (``exact``, ``fast``, ``turbo``) convert batch columns
+independently, so :meth:`TiledLayerEngine.matmat` builds their tables once
+and splits the padded batch into column slices, run on a persistent pool
+of ``os.cpu_count()`` threads (numpy releases the GIL inside the heavy
+kernels) and joined in submission order; a single-core host runs them in a
+plain loop.  A slice holds as many cells per plane tensor as one 128×16
+tile holds per engine chunk, so the working set of each thread stays that
+of one tile.  The layer kernel (``fused``) runs the whole batch in one
+serial call.
 
 Activity counters
 -----------------
@@ -42,15 +46,12 @@ energy and latency from the *same* pass that produced the accuracy.
 Workload-calibrated references
 ------------------------------
 
-:meth:`TiledLayerEngine.calibrate_references` programs the reference banks
-of **all** tiles with one layer-wide Lloyd-Max level set computed from a
-calibration batch (shared maths: :mod:`repro.quant.calibration`).  Because
-the levels are computed from the full padded weight plan — the identical
-computation a single padded macro performs — and applied uniformly to
-every tile, calibrated tiled execution stays bit-identical to that macro
-calibrated on the same batch.  This is what lets the device-detailed chip
-simulator run at the paper's 5-bit ADC instead of the 8 bits the nominal
-worst-case references needed.
+:meth:`TiledLayerEngine.calibrate_references` programs the layer's
+reference banks with one layer-wide Lloyd-Max level set computed from a
+calibration batch (shared maths: :mod:`repro.quant.calibration`) — the
+levels the chip writes into the reference bank of every tile.  This is
+what lets the device-detailed chip simulator run at the paper's 5-bit ADC
+instead of the 8 bits the nominal worst-case references needed.
 """
 
 from __future__ import annotations
@@ -66,10 +67,10 @@ from ..core.macro import IMCMacroConfig
 from ..devices.variation import NO_VARIATION, VariationModel
 from ..engine.array_state import ArrayState
 from ..engine.kernels import get_kernel
-from ..engine.macro_engine import MacroEngine
+from ..engine.macro_engine import MacroEngine, _chunk_size
 from ..geometry import DEFAULT_GEOMETRY, MacroGeometry
 from ..obs.tracer import get_tracer
-from ..quant.calibration import DEFAULT_MAX_SAMPLES, reference_levels_for_plan
+from ..quant.calibration import DEFAULT_MAX_SAMPLES
 from ..quant.quantize import coerce_unsigned_codes
 
 __all__ = ["TileSpec", "plan_tiles", "TiledLayerEngine"]
@@ -155,7 +156,7 @@ def plan_tiles(
 
 
 class TiledLayerEngine:
-    """Executes one layer's integer weight matrix on a grid of macro tiles.
+    """Executes one layer's integer weight matrix as the chip's macro grid.
 
     Args:
         weights: Signed integer weight matrix of shape (rows, cols).
@@ -196,16 +197,8 @@ class TiledLayerEngine:
         self.weight_rows, self.weight_cols = weights.shape
         block = geometry.block_rows
         self.padded_rows = -(-self.weight_rows // block) * block
-        padded = np.zeros((self.padded_rows, self.weight_cols), dtype=np.int64)
-        padded[: self.weight_rows] = weights
-        self._padded_weights = padded
-        self._reference_levels: Optional[Dict[str, np.ndarray]] = None
-        # Lazily built full-layer engine backing the layer-level kernels
-        # (``method="fused"``); shares ``array_state`` with the tile views.
-        self._layer_engine: Optional[MacroEngine] = None
 
-        # One characterisation pass for the whole padded layer; each tile
-        # engine then works on a view of this state.
+        # One characterisation pass for the whole padded layer.
         if state is None:
             macro_config = IMCMacroConfig(
                 rows=self.padded_rows,
@@ -231,21 +224,17 @@ class TiledLayerEngine:
             )
         self.array_state = state
         self.tiles = plan_tiles(self.weight_rows, self.weight_cols, geometry)
-        self._engines: List[MacroEngine] = []
-        for tile in self.tiles:
-            view = state.tile_view(
-                tile.col_start, tile.col_stop, tile.block_start, tile.block_stop
-            )
-            engine = MacroEngine(view, adc_bits=adc_bits, weight_bits=weight_bits)
-            engine.program_weights(
-                padded[
-                    tile.block_start * block : tile.block_stop * block,
-                    tile.col_start : tile.col_stop,
-                ]
-            )
-            self._engines.append(engine)
+        #: The engine every kernel runs on: one macro holding the padded layer.
+        self.engine = MacroEngine(state, adc_bits=adc_bits, weight_bits=weight_bits)
+        self.engine.program_weights(self._padded(weights))
         self._pool: Optional[ThreadPoolExecutor] = None
         self.reset_counters()
+
+    def _padded(self, columns: np.ndarray) -> np.ndarray:
+        """*columns* (weight_rows, n) zero-padded to whole 32-row blocks."""
+        padded = np.zeros((self.padded_rows, columns.shape[1]), dtype=np.int64)
+        padded[: self.weight_rows] = columns
+        return padded
 
     # ------------------------------------------------------------- structure
 
@@ -279,88 +268,34 @@ class TiledLayerEngine:
         self.tile_matmats = 0
 
     def _worker_pool(self) -> Optional[ThreadPoolExecutor]:
-        """The layer's persistent tile thread pool (None when serial).
+        """The layer's persistent slice thread pool (None when serial).
 
         Created once and reused across ``matmat`` calls; the idle pool
         costs nothing between batches and its threads are joined at
         interpreter exit.
         """
         if self._pool is None:
-            workers = min(self.num_tiles, os.cpu_count() or 1)
+            workers = os.cpu_count() or 1
             if workers > 1:
                 self._pool = ThreadPoolExecutor(max_workers=workers)
         return self._pool
 
     # ------------------------------------------------------------ calibration
 
-    def _layer_nibbles(self):
-        """The full layer's exact nibble matrices, assembled from tile plans.
-
-        Every tile engine already holds the encoded plan of its sub-matrix;
-        stitching them back together in (block range × column range) order
-        reproduces ``encode_weight_matrix`` of the whole padded layer
-        (nibble encoding is elementwise), without keeping a layer-sized
-        weight copy alive or re-encoding on every calibration.
-        """
-        block = self.geometry.block_rows
-        high = np.empty((self.padded_rows, self.weight_cols), dtype=np.int64)
-        low = np.empty_like(high) if self.weight_bits == 8 else None
-        for tile, engine in zip(self.tiles, self._engines):
-            plan = engine.weight_plan
-            rows = slice(tile.block_start * block, tile.block_stop * block)
-            cols = slice(tile.col_start, tile.col_stop)
-            high[rows, cols] = plan.high_nibbles
-            if low is not None:
-                low[rows, cols] = plan.low_nibbles
-        return high, low
-
     @property
     def reference_levels(self) -> Optional[Dict[str, np.ndarray]]:
         """The layer-wide calibrated reference levels, or None (nominal)."""
-        if self._reference_levels is None:
-            return None
-        return {key: value.copy() for key, value in self._reference_levels.items()}
+        return self.engine.reference_levels
 
     def apply_reference_levels(
         self, levels: Dict[str, np.ndarray]
     ) -> Dict[str, np.ndarray]:
-        """Program one explicit level set into *every* tile engine.
-
-        All row and column tiles of a layer share the layer's reference
-        bank programming; applying identical levels everywhere is what
-        keeps tiled execution bit-identical to a single padded macro
-        calibrated with the same levels.
-        """
-        shared = None
-        for engine in self._engines:
-            if shared is None:
-                engine.apply_reference_levels(levels)
-                shared = engine._calibrated
-            else:
-                # Tiles are views of one state with identical readout
-                # transfers, so the first tile's quantisers (and their
-                # cached search LUTs) are shared rather than rebuilt.
-                engine._adopt_calibration(shared)
-        if self._layer_engine is not None:
-            if shared is not None:
-                self._layer_engine._adopt_calibration(shared)
-            else:
-                self._layer_engine.apply_reference_levels(levels)
-        # Cache the engines' normalised (sorted, deduplicated) form so the
-        # layer-level view always equals what every tile reports.
-        self._reference_levels = {
-            key: np.unique(np.asarray(value, dtype=float))
-            for key, value in levels.items()
-        }
-        return self.reference_levels
+        """Program one explicit level set into the layer's reference banks."""
+        return self.engine.apply_reference_levels(levels)
 
     def clear_calibration(self) -> None:
-        """Drop workload calibration on every tile (back to nominal)."""
-        for engine in self._engines:
-            engine.clear_calibration()
-        if self._layer_engine is not None:
-            self._layer_engine.clear_calibration()
-        self._reference_levels = None
+        """Drop workload calibration (back to nominal references)."""
+        self.engine.clear_calibration()
 
     def calibrate_references(
         self,
@@ -371,12 +306,9 @@ class TiledLayerEngine:
     ) -> Dict[str, np.ndarray]:
         """Program layer-wide ADC references from a calibration batch.
 
-        The levels are computed **once** for the whole layer — from the
-        full (padded) weight plan and the padded calibration batch, exactly
-        the computation a single :class:`~repro.engine.MacroEngine`
-        holding the same padded weights performs in its
-        ``calibrate_references`` — and then applied identically to every
-        tile, so the grid stays bit-identical to that macro.
+        The levels are computed **once** for the whole layer, from the
+        padded weight plan and the padded calibration batch (the layer
+        engine's ``calibrate_references``).
 
         Args:
             samples: Integer array of shape (weight_rows, batch) — one
@@ -397,107 +329,34 @@ class TiledLayerEngine:
                 f"got {samples.shape}"
             )
         samples = coerce_unsigned_codes(samples, bits, name="samples")
-        padded = np.zeros((self.padded_rows, samples.shape[1]), dtype=np.int64)
-        padded[: self.weight_rows] = samples
-        high_nibbles, low_nibbles = self._layer_nibbles()
-        levels = reference_levels_for_plan(
-            high_nibbles,
-            low_nibbles,
-            padded.T,
-            adc_bits=self.adc_bits,
-            input_bits=bits,
-            rows_per_block=self.geometry.block_rows,
-            max_samples=max_samples,
+        return self.engine.calibrate_references(
+            self._padded(samples), bits=bits, max_samples=max_samples
         )
-        return self.apply_reference_levels(levels)
 
     # --------------------------------------------------- compiled kernel plans
 
     def precompile(self, device_exec: str = "fast") -> None:
         """Eagerly build every table the *device_exec* kernel will touch.
 
-        Layer-level kernels precompile the full-layer engine (building it
-        if needed); plane-level kernels precompile every tile engine.  A
-        replica precompiled at program time serves request #1 on the hot
+        A replica precompiled at program time serves request #1 on the hot
         path only.
         """
-        kernel = get_kernel(device_exec)
-        if kernel.level == "layer":
-            self._full_layer_engine().precompile(device_exec)
-        else:
-            for engine in self._engines:
-                engine.precompile(device_exec)
+        self.engine.precompile(device_exec)
 
     def export_kernel_plan(self, device_exec: str = "fast") -> Dict[str, np.ndarray]:
         """Precompile and export the layer's kernel tables as flat arrays.
 
-        Keys are prefixed ``layer__`` (layer-level kernels, full-layer
-        engine) or ``tile{i}__`` (plane-level kernels, one set per tile);
         :meth:`apply_kernel_plan` re-installs them without recompute.
         """
-        kernel = get_kernel(device_exec)
-        plan: Dict[str, np.ndarray] = {}
-        if kernel.level == "layer":
-            exported = self._full_layer_engine().export_kernel_plan(device_exec)
-            plan.update({f"layer__{key}": value for key, value in exported.items()})
-        else:
-            for index, engine in enumerate(self._engines):
-                exported = engine.export_kernel_plan(device_exec)
-                plan.update(
-                    {f"tile{index}__{key}": value for key, value in exported.items()}
-                )
-        return plan
+        return self.engine.export_kernel_plan(device_exec)
 
     def apply_kernel_plan(
         self, device_exec: str, arrays: Dict[str, np.ndarray]
     ) -> None:
         """Install exported kernel tables (possibly shared-memory views)."""
-        kernel = get_kernel(device_exec)
-        if kernel.level == "layer":
-            prefix = "layer__"
-            tables = {
-                key[len(prefix):]: value
-                for key, value in arrays.items()
-                if key.startswith(prefix)
-            }
-            self._full_layer_engine().apply_kernel_plan(device_exec, tables)
-            return
-        # One pass over the plan: partition ``tile{i}__{name}`` keys by tile
-        # index instead of rescanning every key once per tile.
-        per_tile: Dict[int, Dict[str, np.ndarray]] = {}
-        for key, value in arrays.items():
-            tile_prefix, sep, name = key.partition("__")
-            if sep and tile_prefix.startswith("tile") and tile_prefix[4:].isdigit():
-                per_tile.setdefault(int(tile_prefix[4:]), {})[name] = value
-        for index, engine in enumerate(self._engines):
-            engine.apply_kernel_plan(device_exec, per_tile.get(index, {}))
+        self.engine.apply_kernel_plan(device_exec, arrays)
 
     # -------------------------------------------------------------- operation
-
-    def _full_layer_engine(self) -> MacroEngine:
-        """The lazily-built engine spanning the whole padded layer.
-
-        It is programmed on the *same* :class:`ArrayState` the tile views
-        share — characterisation is not repeated and no variation draws are
-        consumed — and carries the layer's calibration, so a layer-level
-        kernel run on it sees float-for-float the voltages the tile grid
-        would produce.
-        """
-        engine = self._layer_engine
-        if engine is None:
-            engine = MacroEngine(
-                self.array_state,
-                adc_bits=self.adc_bits,
-                weight_bits=self.weight_bits,
-            )
-            engine.program_weights(self._padded_weights)
-            if self._reference_levels is not None:
-                if self._engines and self._engines[0]._calibrated:
-                    engine._adopt_calibration(self._engines[0]._calibrated)
-                else:
-                    engine.apply_reference_levels(self._reference_levels)
-            self._layer_engine = engine
-        return engine
 
     def matmat(
         self,
@@ -507,7 +366,7 @@ class TiledLayerEngine:
         method: str = "fast",
         batch_chunk: Optional[int] = None,
     ) -> np.ndarray:
-        """Batched bit-serial MAC of many input vectors across the tile grid.
+        """Batched bit-serial MAC of many input vectors through the layer.
 
         Args:
             inputs: Integer array of shape (weight_rows, batch) — one
@@ -515,11 +374,10 @@ class TiledLayerEngine:
                 padding is applied internally).
             bits: Input precision (1..8).
             method: ``"exact"`` / ``"fast"`` (both bit-identical to a
-                single padded macro), ``"turbo"`` (per-tile BLAS kernel,
+                single padded macro), ``"turbo"`` (BLAS plane kernel,
                 ULP-class differences), or ``"fused"`` (layer-level batched
-                kernel, bit-identical to turbo and fastest); any layer-level
-                kernel registered in :mod:`repro.engine.kernels` hoists the
-                per-tile loop the same way.
+                kernel, bit-identical to turbo and fastest); any kernel
+                registered in :mod:`repro.engine.kernels`.
             batch_chunk: Input columns per internal engine chunk.
 
         Returns:
@@ -557,6 +415,7 @@ class TiledLayerEngine:
         batch_chunk: Optional[int],
     ) -> np.ndarray:
         kernel = get_kernel(method)
+        chunk = _chunk_size(batch_chunk)
         inputs = np.asarray(inputs)
         if inputs.ndim == 1:
             inputs = inputs[:, None]
@@ -565,61 +424,41 @@ class TiledLayerEngine:
                 f"inputs must have shape ({self.weight_rows}, batch), "
                 f"got {inputs.shape}"
             )
-        inputs = coerce_unsigned_codes(inputs, bits)
-        batch = inputs.shape[1]
-        block = self.geometry.block_rows
-        padded = np.zeros((self.padded_rows, batch), dtype=np.int64)
-        padded[: self.weight_rows] = inputs
-
+        padded = self._padded(coerce_unsigned_codes(inputs, bits))
+        batch = padded.shape[1]
+        engine = self.engine
         if kernel.level == "layer":
-            # Hoisted path: one whole-layer call instead of the per-tile
-            # loop.  The cross-tile accumulation below walks blocks in
-            # global order; summing the full-layer block totals in that
-            # same order performs the identical sequence of elementwise
-            # additions, so the psum contract (and the counters, which
-            # price the same chip activity) are unchanged.
-            engine = self._full_layer_engine()
-            blocks = engine.matmat_blocks(
-                padded, bits=bits, method=method, batch_chunk=batch_chunk
+            results = engine.matmat(
+                padded, bits=bits, method=method, batch_chunk=chunk
             )
-            totals = np.zeros((self.weight_cols, batch))
-            for block_row in range(blocks.shape[1]):
-                totals = totals + blocks[:, block_row, :]
             self._count_matmat(batch)
-            return totals
+            return results
 
-        def run_tile(index: int) -> np.ndarray:
-            tile = self.tiles[index]
-            return self._engines[index].matmat_blocks(
-                padded[tile.block_start * block : tile.block_stop * block],
-                bits=bits,
-                method=method,
-                batch_chunk=batch_chunk,
-            )
+        # Plane kernels: tables first (once, on this thread), then column
+        # slices holding as many cells per plane tensor as one tile chunk.
+        engine.precompile(method)
+        geometry = self.geometry
+        tile_chunk = geometry.weight_columns * geometry.blocks_per_macro * chunk
+        width = max(1, min(chunk, tile_chunk // (self.weight_cols * self.total_blocks)))
+        tracer = get_tracer()
+        parent = tracer.current_context()
 
-        pool = self._worker_pool()
-        if pool is not None:
-            block_outputs = list(pool.map(run_tile, range(self.num_tiles)))
-        else:
-            block_outputs = [run_tile(index) for index in range(self.num_tiles)]
+        def run_slice(start: int) -> np.ndarray:
+            stop = min(start + width, batch)
+            with tracer.span(
+                "slice", parent=parent, first_column=start, columns=stop - start
+            ):
+                return engine.matmat(
+                    padded[:, start:stop], bits=bits, method=method,
+                    batch_chunk=chunk,
+                )
 
-        # Digital partial-sum accumulation: per column tile, walk the blocks
-        # of its row tiles in global block order — a single macro's nesting.
+        starts = range(0, batch, width)
+        pool = self._worker_pool() if len(starts) > 1 else None
+        slices = pool.map(run_slice, starts) if pool else map(run_slice, starts)
         results = np.empty((self.weight_cols, batch))
-        for col_tile in range(self.col_tiles):
-            members = [
-                (tile, block_outputs[index])
-                for index, tile in enumerate(self.tiles)
-                if tile.col_tile == col_tile
-            ]
-            members.sort(key=lambda item: item[0].row_tile)
-            first = members[0][0]
-            totals = np.zeros((first.banks, batch))
-            for tile, blocks in members:
-                for block_row in range(blocks.shape[1]):
-                    totals = totals + blocks[:, block_row, :]
-            results[first.col_start : first.col_stop] = totals
-
+        for start, columns in zip(starts, slices):
+            results[:, start : start + width] = columns
         self._count_matmat(batch)
         return results
 
@@ -639,15 +478,7 @@ class TiledLayerEngine:
         inputs = np.asarray(inputs, dtype=np.int64)
         if inputs.ndim == 1:
             inputs = inputs[:, None]
-        block = self.geometry.block_rows
-        totals = np.zeros((self.weight_cols, inputs.shape[1]), dtype=np.int64)
-        padded = np.zeros((self.padded_rows, inputs.shape[1]), dtype=np.int64)
-        padded[: self.weight_rows] = inputs
-        for tile, engine in zip(self.tiles, self._engines):
-            totals[tile.col_start : tile.col_stop] += engine.ideal_matmat(
-                padded[tile.block_start * block : tile.block_stop * block]
-            )
-        return totals
+        return self.engine.ideal_matmat(self._padded(inputs))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -226,66 +226,6 @@ class ArrayState:
             return self.low
         raise KeyError(f"unknown group {key!r}")
 
-    def tile_view(
-        self, bank_start: int, bank_stop: int, block_start: int, block_stop: int
-    ) -> "ArrayState":
-        """A sub-array state covering a bank range × block-row range.
-
-        The returned state's cell tensors are *views* into this state's
-        arrays (no copies), so an engine built on a tile view computes with
-        the exact per-cell floats — including every variation draw — of the
-        corresponding region of the full array.  This is what lets the tiled
-        chip simulator shard one full-layer state across a macro grid while
-        staying bit-identical to a single engine on that state.
-        """
-        if not 0 <= bank_start < bank_stop <= self.banks:
-            raise ValueError(
-                f"bank range [{bank_start}, {bank_stop}) outside [0, {self.banks}]"
-            )
-        if not 0 <= block_start < block_stop <= self.num_block_rows:
-            raise ValueError(
-                f"block range [{block_start}, {block_stop}) outside "
-                f"[0, {self.num_block_rows}]"
-            )
-
-        def sliced(group: GroupArrays) -> GroupArrays:
-            return GroupArrays(
-                signed=group.signed,
-                on=group.on[bank_start:bank_stop, block_start:block_stop],
-                off_selected=group.off_selected[
-                    bank_start:bank_stop, block_start:block_stop
-                ],
-                unselected=group.unselected[
-                    bank_start:bank_stop, block_start:block_stop
-                ],
-                feedback_resistance=group.feedback_resistance,
-                capacitance=None
-                if group.capacitance is None
-                else group.capacitance[bank_start:bank_stop, block_start:block_stop],
-                capacitance_total=None
-                if group.capacitance_total is None
-                else group.capacitance_total[
-                    bank_start:bank_stop, block_start:block_stop
-                ],
-            )
-
-        return type(self)(
-            design=self.design,
-            banks=bank_stop - bank_start,
-            block_rows=self.block_rows,
-            num_block_rows=block_stop - block_start,
-            cell_params=self.cell_params,
-            high=sliced(self.high),
-            low=sliced(self.low),
-            readout_high=self.readout_high,
-            readout_low=self.readout_low,
-            tia_virtual_ground=self.tia_virtual_ground,
-            tia_clamp_low=self.tia_clamp_low,
-            tia_clamp_high=self.tia_clamp_high,
-            precharge_voltage=self.precharge_voltage,
-            sign_supply_voltage=self.sign_supply_voltage,
-        )
-
     # ----------------------------------------------------------- constructors
 
     @classmethod

@@ -37,12 +37,15 @@ available everywhere a ``device_exec`` string is accepted.
 Tiling support
 --------------
 
-:meth:`MacroEngine.matmat_blocks` exposes the per-block-row digital totals
-*before* the cross-block accumulation.  A caller sharding a layer across
-row tiles (see :mod:`repro.chipsim`) can then accumulate the blocks of all
-tiles in global block order — reproducing a single engine's accumulation
-nesting exactly, which is what keeps tiled execution bit-identical to one
-macro holding the whole padded layer.
+One engine holds a whole zero-padded layer: :mod:`repro.chipsim` programs
+it on the layer's full :class:`ArrayState` and prices the chip's macro
+grid from counters.  Each 32-row block converts and shift-adds on its own,
+and :meth:`MacroEngine.matmat` adds the block totals in ascending block
+order — the order in which the chip adds its row tiles' partial sums — so
+the one engine computes the grid's result.  Batch columns are independent,
+so the chip simulator fans plane kernels out over column slices of one
+engine.  :meth:`MacroEngine.matmat_blocks` exposes the per-block-row totals
+*before* that accumulation.
 
 Workload-calibrated references
 ------------------------------
@@ -98,7 +101,7 @@ _KERNEL_DISPATCHES = REGISTRY.counter(
 #: Memoised nominal MAC quantisers, keyed by (signed, block_rows, readout,
 #: adc_bits).  Readouts are frozen (value-hashable) dataclasses, and the
 #: default-reference-bank quantiser is a pure function of these values —
-#: every tile engine of a layer, and every replica of a serving program,
+#: every layer engine of a network, and every replica of a serving program,
 #: would otherwise rebuild identical converters.
 _NOMINAL_QUANTIZER_CACHE: dict = {}
 
@@ -440,11 +443,9 @@ class MacroEngine:
     ) -> Dict[str, np.ndarray]:
         """Program explicit MAC-domain reference levels per column group.
 
-        Used directly by the tiled path, which computes one level set for
-        the whole layer and applies it *identically* to every row / column
-        tile — the nominal-reference analogue of sharing one quantiser —
-        so tiled execution stays bit-identical to a single engine under
-        calibration.
+        :meth:`calibrate_references` ends here, and a level set computed
+        earlier (a sweep-cache entry, a serving program's calibration) is
+        replayed through it without re-collecting partial sums.
 
         Args:
             levels: Level arrays keyed by ``"high"`` and, for 8-bit
@@ -470,17 +471,6 @@ class MacroEngine:
             for key, values in levels.items()
         }
         return self.reference_levels
-
-    def _adopt_calibration(self, quantizers: Dict[str, object]) -> None:
-        """Share another engine's calibrated quantisers instance-for-instance.
-
-        Only valid between engines whose readout transfers are identical —
-        e.g. tile views of one layer's :class:`ArrayState`, which all
-        program the same level set.  Sharing the quantiser objects also
-        shares the bucketed-search LUTs cached on them, so a layer pays
-        the quantiser construction cost once, not once per tile.
-        """
-        self._calibrated = dict(quantizers)
 
     def calibrate_references(
         self,
@@ -640,9 +630,7 @@ class MacroEngine:
         Each block row's total is its bit planes combined LSB-first — the
         exact partial value the digital accumulator adds per 32-row block
         step.  :meth:`matmat` equals these totals accumulated sequentially
-        over the block-row axis; a tiled caller accumulating the blocks of
-        several row-tile engines in global block order therefore reproduces
-        a single engine over all those rows bit for bit.
+        over the block-row axis.
 
         Args:
             inputs: Integer array of shape (rows, batch); see :meth:`matmat`.

@@ -401,8 +401,8 @@ class ShmArrayState(ArrayState):
 
     Behaviour is identical to the parent — the group tensors are simply
     read-only zero-copy views into the segment, and the state keeps a
-    reference to the arena so the mapping outlives every tile view built
-    from it.
+    reference to the arena so the mapping outlives every engine built on
+    it.
     """
 
     arena: Optional[SharedArena] = None

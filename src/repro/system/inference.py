@@ -16,16 +16,16 @@ Two backends execute the layer matmuls:
   :class:`~repro.core.functional.FunctionalIMCModel`, device variation
   folded into per-significance statistics; fastest.
 * ``backend="device"`` — the device-detailed
-  :class:`~repro.engine.MacroEngine`, with each layer's weight matrix
-  sharded across a grid of real macro tiles by
-  :class:`~repro.chipsim.TiledLayerEngine`: row tiles accumulate digital
-  partial sums in global block order, column tiles own disjoint output
-  channels.  This is the same hardware the system performance model
-  prices, and it emits per-tile activity counts for the
-  :class:`~repro.chipsim.ChipSimulator` co-report.  The tile engines are
-  views of one full-layer array state, so the grid computes exactly what a
-  single macro holding the zero-padded layer would (a test-enforced
-  equivalence).
+  :class:`~repro.engine.MacroEngine`, one per layer, holding the layer's
+  zero-padded weight matrix on one full-layer array state, inside a
+  :class:`~repro.chipsim.TiledLayerEngine` that maps the matrix onto a
+  grid of real macro tiles: row tiles accumulate digital partial sums in
+  global block order, column tiles own disjoint output channels.  This is
+  the same hardware the system performance model prices, and it emits
+  per-tile activity counts for the :class:`~repro.chipsim.ChipSimulator`
+  co-report.  Adding block totals in global block order is also the one
+  engine's own accumulation order, so the engine computes exactly what
+  the grid would.
 
 Both backends programme their per-layer ADC references from the workload by
 default (``calibration="workload"``): the first batch of each layer acts as
@@ -273,7 +273,7 @@ class _QuantizedLayer:
     def array_state(self):
         """The layer's full device :class:`~repro.engine.ArrayState`, or None.
 
-        This is the full-layer state every tile engine views.  Functional
+        This is the full-layer state the layer's engine runs on.  Functional
         layers have no per-cell state and return None.  The sweep cache
         (:mod:`repro.sweep.cache`) harvests these arrays after a build and
         injects them back on later runs.
@@ -307,7 +307,7 @@ class _QuantizedLayer:
         configured sample budget), mirroring how the FeFET reference bank
         is written to span the useful ADC input range.  Both backends use
         the shared placement maths of :mod:`repro.quant.calibration`; the
-        device path derives one layer-wide level set for every tile.  The
+        device path derives one layer-wide level set for all its tiles.  The
         placement runs in a ``calibrate`` span (a no-op with tracing off).
         """
         budget = codes[: min(len(codes), self.config.calibration_samples)]

@@ -140,7 +140,7 @@ class TestTiledBitIdentityUnderCalibration:
                 np.zeros((63, 3), dtype=np.int64), bits=4
             )
 
-    def test_every_tile_gets_the_layer_levels(self):
+    def test_returned_levels_are_programmed_and_cleared(self):
         rng = np.random.default_rng(4)
         weights = rng.integers(-128, 128, size=(300, 40))
         tiled = TiledLayerEngine(weights, design="curfe", variation=NO_VARIATION)
@@ -149,14 +149,12 @@ class TestTiledBitIdentityUnderCalibration:
         levels = tiled.calibrate_references(
             rng.integers(0, 16, size=(300, 6)), bits=4
         )
-        for engine in tiled._engines:
-            programmed = engine.reference_levels
-            assert programmed is not None
-            for key in levels:
-                assert np.array_equal(programmed[key], levels[key])
+        programmed = tiled.reference_levels
+        assert programmed is not None and programmed.keys() == levels.keys()
+        for key in levels:
+            assert np.array_equal(programmed[key], levels[key])
         tiled.clear_calibration()
         assert tiled.reference_levels is None
-        assert all(engine.reference_levels is None for engine in tiled._engines)
 
 
 class TestInvalidation:

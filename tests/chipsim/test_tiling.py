@@ -5,8 +5,7 @@ import pytest
 
 from repro.chipsim.tiling import TiledLayerEngine, TileSpec, plan_tiles
 from repro.core.macro import IMCMacroConfig
-from repro.devices.variation import DEFAULT_VARIATION, NO_VARIATION
-from repro.engine.array_state import ArrayState
+from repro.devices.variation import NO_VARIATION
 from repro.geometry import DEFAULT_GEOMETRY, MacroGeometry
 from repro.system.inference import InferenceConfig
 from repro.system.layers import ConvLayer, LinearLayer, PoolLayer
@@ -106,29 +105,6 @@ class TestGeometrySingleSource:
         config = InferenceConfig(geometry=geometry, rows_per_block=16)
         assert config.rows_per_block == 16
         assert config.functional_config().rows_per_block == 16
-
-
-class TestTileView:
-    def test_views_share_memory_with_full_state(self):
-        config = IMCMacroConfig(
-            rows=96, banks=6, block_rows=32, variation=DEFAULT_VARIATION, seed=5
-        )
-        state = ArrayState.build("curfe", config)
-        view = state.tile_view(2, 5, 1, 3)
-        assert view.banks == 3
-        assert view.num_block_rows == 2
-        assert view.rows == 64
-        assert np.shares_memory(view.high.on, state.high.on)
-        assert np.array_equal(view.high.on, state.high.on[2:5, 1:3])
-
-    def test_invalid_ranges(self):
-        state = ArrayState.build(
-            "curfe", IMCMacroConfig(rows=64, banks=2, block_rows=32)
-        )
-        with pytest.raises(ValueError):
-            state.tile_view(0, 3, 0, 2)
-        with pytest.raises(ValueError):
-            state.tile_view(0, 2, 1, 1)
 
 
 class TestTiledLayerEngine:

@@ -63,7 +63,7 @@ def oracle_fused_tables(engine, key):
 
 @st.composite
 def plane_cases(draw):
-    """An engine on a (possibly partial) tile of a layer, and a bit plane."""
+    """An engine on a whole drawn array state, and a bit plane."""
     design = draw(st.sampled_from(["curfe", "chgfe"]))
     variation = draw(st.sampled_from([DEFAULT_VARIATION, NO_VARIATION]))
     weight_bits = draw(st.sampled_from([8, 4]))
@@ -71,23 +71,14 @@ def plane_cases(draw):
     banks = draw(st.integers(1, 5))
     num_block_rows = draw(st.integers(1, 3))
     batch = draw(st.integers(1, 6))
-    # A partial tile: the engine sees a bank × block-row window of a larger
-    # layer state, through strided views of its cell tensors.
-    bank_start = draw(st.integers(0, 2))
-    block_start = draw(st.integers(0, 1))
-    layer_banks = bank_start + banks + draw(st.integers(0, 2))
-    layer_blocks = block_start + num_block_rows + draw(st.integers(0, 1))
     seed = draw(st.integers(0, 2**16))
-    layer = ArrayState.build(
+    state = ArrayState.build(
         design,
         IMCMacroConfig(
-            rows=layer_blocks * block_rows, banks=layer_banks,
+            rows=num_block_rows * block_rows, banks=banks,
             block_rows=block_rows, adc_bits=5, weight_bits=weight_bits,
             variation=variation, seed=seed,
         ),
-    )
-    state = layer.tile_view(
-        bank_start, bank_start + banks, block_start, block_start + num_block_rows
     )
     engine = MacroEngine(state, adc_bits=5, weight_bits=weight_bits)
     rng = np.random.default_rng(seed)

@@ -150,7 +150,7 @@ class TestLifecycle:
 
 
 class TestShmArrayState:
-    def test_adopt_and_tile_view_preserve_arena_binding(self):
+    def test_adopt_preserves_arena_binding(self):
         from repro.core.macro import IMCMacroConfig
         from repro.engine.array_state import ArrayState
 
@@ -165,11 +165,6 @@ class TestShmArrayState:
             assert isinstance(shared, ShmArrayState)
             assert shared.arena is arena
             assert shared.banks == state.banks
-            tile = shared.tile_view(0, 2, 0, 1)
-            assert isinstance(tile, ShmArrayState)
-            np.testing.assert_array_equal(
-                tile.group("high").on, state.group("high").on[0:2, 0:1]
-            )
 
 
 class TestHostSharedArrays:

@@ -9,7 +9,9 @@ implementation directly.
 """
 
 import dataclasses
+import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -92,6 +94,64 @@ class TestCharacteriseSpans:
             while span["parent_id"] is not None:
                 span = by_id[span["parent_id"]]
             assert span is build
+
+
+class TestSliceSpans:
+    """Plane kernels fan out over column slices on the layer's thread pool;
+    the work done on pool threads stays inside the caller's trace."""
+
+    @staticmethod
+    def traced_fast_matmat():
+        rng = np.random.default_rng(3)
+        # 3x3 tiles; the default chunk gives 40-column slices: 3 slices.
+        tiled = TiledLayerEngine(
+            rng.integers(-128, 128, size=(300, 40)), design="curfe",
+            variation=NO_VARIATION,
+        )
+        inputs = rng.integers(0, 16, size=(300, 100))
+        tracer = Tracer()
+        with mock.patch.object(os, "cpu_count", return_value=2):
+            untraced = tiled.matmat(inputs, bits=4, method="fast")
+            set_tracer(tracer)
+            traced = tiled.matmat(inputs, bits=4, method="fast")
+        assert np.array_equal(untraced, traced)
+        return tracer.drain()
+
+    def test_kernel_spans_on_pool_threads_descend_from_tiled_layer(self):
+        spans = self.traced_fast_matmat()
+        by_id = {s["span_id"]: s for s in spans}
+        (layer,) = [s for s in spans if s["name"] == "tiled_layer"]
+        kernels = [s for s in spans if s["name"] == "kernel"]
+        for span in kernels:
+            chain = [span["name"]]
+            while span["name"] != "tiled_layer" and span["parent_id"] is not None:
+                span = by_id[span["parent_id"]]
+                chain.append(span["name"])
+            assert span is layer, chain
+        assert len(kernels) == 3
+        slices = sorted(
+            (s for s in spans if s["name"] == "slice"),
+            key=lambda s: s["attrs"]["first_column"],
+        )
+        assert [s["parent_id"] for s in slices] == [layer["span_id"]] * 3
+        assert [
+            (s["attrs"]["first_column"], s["attrs"]["columns"]) for s in slices
+        ] == [(0, 40), (40, 40), (80, 20)]
+
+    def test_one_plan_build_span_per_group(self):
+        # The untraced call already built the tables: trace a fresh layer.
+        rng = np.random.default_rng(3)
+        tiled = TiledLayerEngine(
+            rng.integers(-128, 128, size=(300, 40)), design="curfe",
+            variation=NO_VARIATION,
+        )
+        assert tiled.num_tiles == 9
+        tracer = Tracer()
+        set_tracer(tracer)
+        with mock.patch.object(os, "cpu_count", return_value=2):
+            tiled.matmat(rng.integers(0, 16, size=(300, 100)), bits=4, method="fast")
+        builds = [s for s in tracer.drain() if s["name"] == "plan_build"]
+        assert sorted(s["attrs"]["group"] for s in builds) == ["high", "low"]
 
 
 class TestCalibrateSpans:
