@@ -2,7 +2,7 @@
 
 Drives :class:`repro.serve.ServeRuntime` — the always-on counterpart of the
 offline chip-simulator scripts — with seeded closed-loop traffic on the
-device-detailed ``turbo`` path, three ways:
+device-detailed ``fused`` path, three ways:
 
 1. **offered-load sweep** — closed-loop client counts from idle to
    saturation; each point reports completed throughput, p50/p95/p99
@@ -16,7 +16,8 @@ device-detailed ``turbo`` path, three ways:
    program over the same inputs, ``array_equal``;
 4. **cold-start probe** — process-pool deployments of a large program over
    both program transports (``shm`` / ``pickle``) at increasing worker
-   counts: per-worker startup time (program receive + replica stamp) and
+   counts: per-worker startup time (program receive + replica stamp,
+   whose one-image warm-up request is included) and
    the private-RSS split from ``smaps_rollup``, from which the headline
    shm metrics derive — ``worker_startup_speedup`` (pickle vs shm mean
    init at fan-out) and ``rss_ratio`` (all shm workers' private memory vs
@@ -60,7 +61,7 @@ CONFIG = ServeConfig(
     scenario=tiny("small_cnn", "tiny_mlp"),
     backend="device",
     design="curfe",
-    device_exec="turbo",
+    device_exec="fused",
     input_bits=4,
     weight_bits=8,
     adc_bits=5,
@@ -82,11 +83,15 @@ REQUESTS = tiny(192, 24)
 #: Deployment whose cold start the transport probe measures — a wide layer
 #: stack whose compiled kernel plans dominate the program payload, so the
 #: per-worker deserialise the shm transport removes is the startup cost.
+#: It runs the ``fast`` plane kernel: its exported per-column tables are
+#: four times CurFe's ``fused`` plan, the largest payload a deployment can
+#: ship, so the probe bounds the transport at its worst case rather than
+#: at the default kernel's.
 COLD_CONFIG = ServeConfig(
     scenario=tiny("wide_mlp", "tiny_mlp"),
     backend="device",
     design="curfe",
-    device_exec="turbo",
+    device_exec="fast",
     input_bits=4,
     weight_bits=8,
     adc_bits=5,
@@ -363,8 +368,30 @@ def run_measurements():
     }
 
 
+def _gate_failures(record):
+    """The performance acceptance checks a record fails (empty: all hold).
+
+    Written into the record before it is asserted, so a committed record
+    says by itself which gate its host missed.
+    """
+    first = record["first_request"]
+    probe = record["batching_probe"]
+    cold = record["cold_start"]
+    checks = [("first_request.ratio <= 1.5", first["ratio"] <= 1.5)]
+    if not record["tiny"]:
+        checks.append(("batching_probe.speedup > 1.1", probe["speedup"] > 1.1))
+        if any(p["transport"] == "shm" for p in cold["points"]):
+            checks.append((
+                "cold_start.worker_startup_speedup >= 3.0",
+                cold["worker_startup_speedup"] >= 3.0,
+            ))
+            checks.append(("cold_start.rss_ratio <= 1.3", cold["rss_ratio"] <= 1.3))
+    return [name for name, held in checks if not held]
+
+
 def test_serve_load(benchmark):
     record = benchmark.pedantic(run_measurements, rounds=1, iterations=1)
+    record["gate_failures"] = _gate_failures(record)
     RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
     lines = [
@@ -432,7 +459,7 @@ def test_serve_load(benchmark):
     emit("Online serving — dynamic micro-batching over warm chips", "\n".join(lines))
 
     # Acceptance: serving is lossless and deterministic, and (full config)
-    # micro-batching beats batch-size-1 serving on the turbo device path,
+    # micro-batching beats batch-size-1 serving on the fused device path,
     # the shm transport starts fan-out workers >=3x faster in ~one program
     # copy of private memory, and precompiled replicas serve request #1
     # within 1.5x of steady state.
@@ -445,11 +472,6 @@ def test_serve_load(benchmark):
             <= point["latency_p95_s"]
             <= point["latency_p99_s"]
         )
-    assert first["ratio"] <= 1.5, first
     assert obs["scrape_valid"] and obs["served_events"] == obs["requests"], obs
     assert obs["trace_spans"] > 0 and obs["trace_connected"], obs
-    if not TINY:
-        assert probe["speedup"] > 1.1, probe
-        if any(p["transport"] == "shm" for p in cold["points"]):
-            assert cold["worker_startup_speedup"] >= 3.0, cold
-            assert cold["rss_ratio"] <= 1.3, cold
+    assert not record["gate_failures"], (record["gate_failures"], first, probe, cold)

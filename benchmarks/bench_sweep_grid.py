@@ -43,7 +43,7 @@ SPEC = SweepSpec(
     precisions=((4, 8),),
     adc_bits=(4, 5),
     calibrations=("workload", "nominal"),
-    device_execs=("turbo",),
+    device_execs=("fused",),
     images=tiny(8, 2),
     batch_size=tiny(8, 2),
     variation=tiny(DEFAULT_VARIATION, NO_VARIATION),

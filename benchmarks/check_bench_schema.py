@@ -145,6 +145,7 @@ SERVE_SCHEMA = {
     "observability": dict,
     "deterministic": bool,
     "predictions_sha256": str,
+    "gate_failures": list,
 }
 
 #: Required keys and types of every offered-load point in BENCH_serve.json.
@@ -232,8 +233,6 @@ SCENARIO_SCHEMA = {
     "bit_identical_fused": bool,
     "tiled_fast_s": float,
     "tiled_fast_images_per_s": float,
-    "tiled_turbo_s": float,
-    "tiled_turbo_images_per_s": float,
     "tiled_fused_s": float,
     "tiled_fused_images_per_s": float,
     "tiles_per_s": float,
@@ -241,8 +240,7 @@ SCENARIO_SCHEMA = {
     "modeled_tops_per_watt": float,
     "modeled_fps": float,
     "calibrated_layers": int,
-    "speedup_turbo_vs_fast": float,
-    "speedup_fused_vs_turbo": float,
+    "speedup_fused_vs_fast": float,
 }
 
 

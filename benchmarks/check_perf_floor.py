@@ -11,8 +11,8 @@ with its own relative tolerance band.  A metric that falls below
 Baselines come in two bands selected by the records' own ``"tiny"`` flag:
 ``full`` (developer-machine numbers, tighter bands) and ``tiny`` (CI smoke
 configuration on unknown runner hardware, loose bands that still catch
-order-of-magnitude regressions — e.g. the turbo kernel losing to the
-fast kernel, or the cache slowing jobs down).
+order-of-magnitude regressions — e.g. the fused kernel losing its lead
+over the fast kernel, or the cache slowing jobs down).
 
 Usage:  python benchmarks/check_perf_floor.py [repo_root]
 """

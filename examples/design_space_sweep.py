@@ -25,7 +25,6 @@ SPEC = SweepSpec(
     precisions=((4, 8),),
     adc_bits=(4, 5),
     calibrations=("workload", "nominal"),
-    device_execs=("turbo",),
     images=8,
     batch_size=8,
     seed=0,

@@ -18,6 +18,9 @@ Typical use::
     report.accuracy                    # measured on the simulated chip
     report.performance.tops_per_watt   # priced from the counted activity
     print(report.summary())
+
+Layers run on the default ``"fused"`` kernel; ``device_exec="fast"`` or
+``"exact"`` selects a plane kernel with bit-identical results.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..devices.variation import DEFAULT_VARIATION, VariationModel
+from ..engine.kernels import DEFAULT_DEVICE_EXEC
 from ..geometry import DEFAULT_GEOMETRY, MacroGeometry
 from ..obs.tracer import get_tracer, timed
 from ..system.activity import LayerActivity
@@ -172,10 +176,9 @@ class ChipSimulator:
         variation: Device-variation statistics of every cell.
         seed: Seed of the programming-variation draws.
         device_exec: Engine kernel name resolved through the
-            :mod:`repro.engine.kernels` registry — ``"exact"``, ``"fast"``
-            (default), ``"turbo"`` (throughput mode, ULP-class
-            differences), or ``"fused"`` (layer-level batched GEMM,
-            bit-identical to ``"turbo"``).
+            :mod:`repro.engine.kernels` registry — ``"fused"`` (default;
+            layer-level batched GEMM), or the plane kernels ``"exact"`` and
+            ``"fast"``, which give bit-identical results more slowly.
         calibration: ``"workload"`` (default) programs each layer's ADC
             reference bank from its first batch, which is what reaches the
             paper's accuracy at ``adc_bits=5``; ``"nominal"`` keeps the
@@ -205,7 +208,7 @@ class ChipSimulator:
         geometry: MacroGeometry = DEFAULT_GEOMETRY,
         variation: VariationModel = DEFAULT_VARIATION,
         seed: int = 0,
-        device_exec: str = "fast",
+        device_exec: str = DEFAULT_DEVICE_EXEC,
         calibration: str = "workload",
         calibration_samples: int = 4096,
         config: Optional[InferenceConfig] = None,
@@ -345,21 +348,13 @@ class ChipSimulator:
         engines = self._tiled_engines()
         for engine in engines.values():
             engine.reset_counters()
-        tracer = get_tracer()
-        run_span = (
-            tracer.span(
-                "chipsim.run",
-                network=self.network.name,
-                design=self.config.design,
-                images=len(images),
-                batch_size=batch_size,
-            )
-            if tracer.enabled
-            else None
-        )
-        if run_span is not None:
-            run_span.__enter__()
-        try:
+        with get_tracer().span(
+            "chipsim.run",
+            network=self.network.name,
+            design=self.config.design,
+            images=len(images),
+            batch_size=batch_size,
+        ):
             # timed() always measures the perf_counter pair (the report's
             # wall_seconds) and doubles as the predict span when tracing.
             with timed("chipsim.predict", images=len(images)) as predict_t:
@@ -377,9 +372,6 @@ class ChipSimulator:
                 performance = self.performance_model.evaluate_activities(
                     self.network, activities
                 )
-        finally:
-            if run_span is not None:
-                run_span.__exit__(None, None, None)
         tiles_executed = sum(engine.tile_matmats for engine in engines.values())
         return ChipReport(
             network=self.network,

@@ -20,20 +20,21 @@ output, bit for bit.  It is also what the chip's grid computes: each tile
 converts the blocks of its own region of the state, and the row tiles'
 block totals are added in global block order — the one macro's own
 accumulation nesting.  The test suite pins ``exact`` and ``fast`` against
-an engine built independently on the same state.
+an engine built independently on the same state, and ``fused`` against
+both.
 
 Parallelism
 -----------
 
-Plane kernels (``exact``, ``fast``, ``turbo``) convert batch columns
+The layer kernel (``fused``, the default) runs the whole batch in one
+serial call.  Plane kernels (``exact``, ``fast``) convert batch columns
 independently, so :meth:`TiledLayerEngine.matmat` builds their tables once
 and splits the padded batch into column slices, run on a persistent pool
 of ``os.cpu_count()`` threads (numpy releases the GIL inside the heavy
 kernels) and joined in submission order; a single-core host runs them in a
 plain loop.  A slice holds as many cells per plane tensor as one 128×16
 tile holds per engine chunk, so the working set of each thread stays that
-of one tile.  The layer kernel (``fused``) runs the whole batch in one
-serial call.
+of one tile.
 
 Activity counters
 -----------------
@@ -66,7 +67,7 @@ import numpy as np
 from ..core.macro import IMCMacroConfig
 from ..devices.variation import NO_VARIATION, VariationModel
 from ..engine.array_state import ArrayState
-from ..engine.kernels import get_kernel
+from ..engine.kernels import DEFAULT_DEVICE_EXEC, get_kernel
 from ..engine.macro_engine import MacroEngine, _chunk_size
 from ..geometry import DEFAULT_GEOMETRY, MacroGeometry
 from ..obs.tracer import get_tracer
@@ -335,7 +336,7 @@ class TiledLayerEngine:
 
     # --------------------------------------------------- compiled kernel plans
 
-    def precompile(self, device_exec: str = "fast") -> None:
+    def precompile(self, device_exec: str) -> None:
         """Eagerly build every table the *device_exec* kernel will touch.
 
         A replica precompiled at program time serves request #1 on the hot
@@ -343,7 +344,7 @@ class TiledLayerEngine:
         """
         self.engine.precompile(device_exec)
 
-    def export_kernel_plan(self, device_exec: str = "fast") -> Dict[str, np.ndarray]:
+    def export_kernel_plan(self, device_exec: str) -> Dict[str, np.ndarray]:
         """Precompile and export the layer's kernel tables as flat arrays.
 
         :meth:`apply_kernel_plan` re-installs them without recompute.
@@ -363,7 +364,7 @@ class TiledLayerEngine:
         inputs: np.ndarray,
         *,
         bits: int,
-        method: str = "fast",
+        method: str = DEFAULT_DEVICE_EXEC,
         batch_chunk: Optional[int] = None,
     ) -> np.ndarray:
         """Batched bit-serial MAC of many input vectors through the layer.
@@ -373,24 +374,19 @@ class TiledLayerEngine:
                 unsigned activation vector per column (unpadded; block
                 padding is applied internally).
             bits: Input precision (1..8).
-            method: ``"exact"`` / ``"fast"`` (both bit-identical to a
-                single padded macro), ``"turbo"`` (BLAS plane kernel,
-                ULP-class differences), or ``"fused"`` (layer-level batched
-                kernel, bit-identical to turbo and fastest); any kernel
-                registered in :mod:`repro.engine.kernels`.
+            method: ``"fused"`` (default; layer-level batched kernel,
+                fastest), ``"exact"`` or ``"fast"`` (plane kernels, run on
+                batch slices) — all three bit-identical to a single padded
+                macro — or any other kernel registered in
+                :mod:`repro.engine.kernels`.
             batch_chunk: Input columns per internal engine chunk.
 
         Returns:
             Float array of shape (weight_cols, batch).
         """
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return self._matmat_impl(
-                inputs, bits=bits, method=method, batch_chunk=batch_chunk
-            )
         kernel = get_kernel(method)
         macs_before = self.block_macs
-        with tracer.span(
+        with get_tracer().span(
             "tiled_layer",
             kernel=kernel.name,
             level=kernel.level,

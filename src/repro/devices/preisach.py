@@ -40,11 +40,6 @@ __all__ = [
 ]
 
 
-def _standard_normal_cdf(x: float) -> float:
-    """Cumulative distribution function of the standard normal."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
 @dataclass(frozen=True)
 class PreisachParameters:
     """Parameters of the behavioural Preisach ferroelectric model.

@@ -398,12 +398,8 @@ class ArrayState:
                 capacitance_total=caps_total,
             )
 
-        tracer = get_tracer()
-        if tracer.enabled:
-            cells = 2 * int(np.prod(shape))
-            with tracer.span("characterise", design=design, cells=cells):
-                high, low = characterise(signed=True), characterise(signed=False)
-        else:
+        cells = 2 * int(np.prod(shape))
+        with get_tracer().span("characterise", design=design, cells=cells):
             high, low = characterise(signed=True), characterise(signed=False)
         kwargs = {}
         if design == CURFE_DESIGN:

@@ -8,7 +8,8 @@ bit-serial MAC arithmetic over an
 :class:`~repro.engine.array_state.ArrayState`.  The registry is the single
 source of truth for which methods exist, so validation errors everywhere
 list the same set and a new backend (a compiled kernel, a GPU path) is one
-:func:`register_kernel` call away.
+:func:`register_kernel` call away.  :data:`DEFAULT_DEVICE_EXEC` (``"fused"``)
+is the one default of every entry point.
 
 Two kernel granularities exist:
 
@@ -16,12 +17,10 @@ Two kernel granularities exist:
     The kernel reduces **one input bit plane** over the array rows and
     returns the per-column analog contributions; the engine then applies
     the shared readout pipeline (TIA / charge sharing, ADC, nibble
-    combine, shift-add) per plane.  ``"exact"``, ``"fast"`` and
-    ``"turbo"`` are plane kernels.  ``"fast"`` and ``"turbo"`` reduce
-    against one cached table per group, (num_block_rows, block_rows,
-    banks*4) and contiguous: ``"fast"`` with an ``einsum`` whose inner loop
-    runs over the banks*4 axis, ``"turbo"`` with one BLAS gemm per block
-    row.
+    combine, shift-add) per plane.  ``"exact"`` and ``"fast"`` are plane
+    kernels.  ``"fast"`` reduces against one cached table per group,
+    (num_block_rows, block_rows, banks*4) and contiguous, with an
+    ``einsum`` whose inner loop runs over the banks*4 axis.
 
 ``level="layer"``
     The kernel consumes the **whole batch of input values** at once and
@@ -41,17 +40,17 @@ expression structure for the same sums).  ``"fast"`` adds the rows of each
 block one at a time in ascending order — bit planes are 0/1, so every
 product is exact — which makes it bit-identical across a tile grid and one
 padded macro, and to the per-cell row reduction it replaced
-(``tests/engine/test_plane_tables.py`` holds that oracle).  ``"turbo"``'s
-BLAS reduction reorders the sums: ULP-class differences from ``"fast"``.
+(``tests/engine/test_plane_tables.py`` holds that oracle).
 
-``"fused"`` reproduces ``"turbo"`` bit for bit on both designs, calibrated
-and uncalibrated, on single engines and tile grids: every floating-point
+``"fused"``'s BLAS reduction reorders the sums, but every floating-point
 difference it introduces lives in the analog voltage *before* ADC
 quantisation and is at ULP scale, far below an LSB (or the spacing of
 calibrated reference levels), so the quantised codes — and everything
-digital after them — are identical.  The golden-equivalence suite
-(``tests/chipsim/test_fused_kernel.py``) asserts ``array_equal`` across the
-whole matrix.
+digital after them — are identical to ``"fast"`` and ``"exact"`` on both
+designs, calibrated and uncalibrated.  ``"exact"`` and ``"fast"`` stay
+registered as the oracles the tests compare ``"fused"`` against
+(``tests/chipsim/test_fused_kernel.py`` asserts ``array_equal``, including
+a ``hypothesis`` property over layer shapes and precisions).
 """
 
 from __future__ import annotations
@@ -66,6 +65,7 @@ from ..obs.tracer import get_tracer
 from .array_state import CURFE_DESIGN, NUM_COLUMNS
 
 __all__ = [
+    "DEFAULT_DEVICE_EXEC",
     "Kernel",
     "register_kernel",
     "unregister_kernel",
@@ -74,6 +74,11 @@ __all__ = [
     "validate_device_exec",
     "fused_block_totals",
 ]
+
+
+#: The kernel every ``device_exec`` default names: config objects and their
+#: schemas, the chip simulator, the sweep grid and the layer engine.
+DEFAULT_DEVICE_EXEC = "fused"
 
 
 @dataclass(frozen=True)
@@ -172,7 +177,7 @@ def validate_device_exec(name: str) -> str:
 
 
 # --------------------------------------------------------------------------
-# Plane-level kernels: exact / fast / turbo row reductions.
+# Plane-level kernels: exact / fast row reductions.
 # --------------------------------------------------------------------------
 
 
@@ -199,7 +204,7 @@ def _difference_table(engine, key: str) -> np.ndarray:
     element is computed with ``MacroEngine.selected``'s expression, so the
     values are identical, but neither the per-cell stored bits nor the
     selected tensor is cached: the tables built from this are the only
-    per-pattern state a ``"fast"``, ``"turbo"`` or ``"fused"`` engine keeps.
+    per-pattern state a ``"fast"`` or ``"fused"`` engine keeps.
     """
     state = engine.state
     group = state.group(key)
@@ -216,22 +221,21 @@ def _difference_table(engine, key: str) -> np.ndarray:
     return table
 
 
-def _plane_group_tables(engine, key: str, kernel: str) -> tuple:
+def _plane_group_tables(engine, key: str) -> tuple:
     """Cached plane-kernel operands for the stored pattern of one group.
 
     Returns ``(table, unselected_sum)``: ``table`` is one contiguous
     (num_block_rows, block_rows, banks*4) stack of selected-minus-
     unselected contributions — ``table[j]`` is the right-hand operand of
     block row ``j`` — and ``unselected_sum`` (banks, num_block_rows, 4)
-    holds the unselected-row sums.  ``"fast"`` and ``"turbo"`` share it
-    (*kernel* only labels the span of the build).  One array per group
-    keeps the operands exportable as a flat kernel plan (and mappable
-    zero-copy from a shared arena).
+    holds the unselected-row sums.  One array per group keeps the operands
+    exportable as a flat kernel plan (and mappable zero-copy from a shared
+    arena).
     """
     tables = engine._plane_tables.get(key)
     if tables is None:
         state = engine.state
-        with _plan_build(engine, kernel, key):
+        with _plan_build(engine, "fast", key):
             table = _difference_table(engine, key).reshape(
                 state.num_block_rows, state.block_rows, state.banks * NUM_COLUMNS
             )
@@ -248,27 +252,14 @@ def _fast_reduce(engine, plane, key: str) -> np.ndarray:
     block one at a time in ascending order — the same sums, bit for bit,
     as a row reduction over the per-cell (banks, R, block_rows, 4) tensor.
     Keep einsum's default ``optimize=False``: the optimised path goes
-    through BLAS and reorders the sums (that is ``"turbo"``).
+    through BLAS and reorders the sums.
     """
     state = engine.state
-    table, unselected_sum = _plane_group_tables(engine, key, "fast")
+    table, unselected_sum = _plane_group_tables(engine, key)
     reduced = np.einsum("njr,jrk->njk", plane, table).reshape(
         plane.shape[0], state.num_block_rows, state.banks, NUM_COLUMNS
     )
     return unselected_sum[None] + reduced.transpose(0, 2, 1, 3)
-
-
-def _turbo_reduce(engine, plane, key: str) -> np.ndarray:
-    """BLAS gemm row reduction against the cached plane table."""
-    state = engine.state
-    table, unselected_sum = _plane_group_tables(engine, key, "turbo")
-    batch = plane.shape[0]
-    reduced = np.empty((batch, state.banks, state.num_block_rows, NUM_COLUMNS))
-    for j in range(state.num_block_rows):
-        reduced[:, :, j, :] = (plane[:, j] @ table[j]).reshape(
-            batch, state.banks, NUM_COLUMNS
-        )
-    return unselected_sum[None] + reduced
 
 
 # --------------------------------------------------------------------------
@@ -283,10 +274,10 @@ def _fused_group_tables(engine, key: str) -> tuple:
     sum commutes (to ULP accuracy) with the row reduction and is folded
     into the table: ``D`` is (num_block_rows, block_rows, banks) and one
     gemm per block row yields the summed difference directly — a quarter
-    of the turbo FLOPs and an output that fits in cache.  ChgFe clips each
-    bitline before charge sharing, so its four columns stay separate:
-    ``D`` is (4, num_block_rows, block_rows, banks), one small gemm per
-    column.  ``U`` carries the matching unselected-row sums.
+    of the FLOPs of a per-column gemm and an output that fits in cache.
+    ChgFe clips each bitline before charge sharing, so its four columns
+    stay separate: ``D`` is (4, num_block_rows, block_rows, banks), one
+    small gemm per column.  ``U`` carries the matching unselected-row sums.
     """
     tables = engine._fused_tables.get(key)
     if tables is None:
@@ -324,7 +315,8 @@ def _calibrated_lut(quantizer: CalibratedMACQuantizer):
     ``index += (next_threshold < v)`` corrections.  The bounds are chosen
     so the result equals ``np.searchsorted(thresholds, v)`` *exactly* (one
     grid cell of slack on each side absorbs the float cell arithmetic), so
-    calibrated fused output stays bit-identical to the turbo path.
+    calibrated fused output stays bit-identical to the plane kernels'
+    direct quantiser path.
 
     Returns ``(start, steps, tmin, scale, ext)`` or None when the level
     set is degenerate (single level / zero span / clustered beyond
@@ -407,7 +399,8 @@ def fused_block_totals(engine, values: np.ndarray, bits: int) -> np.ndarray:
     each 32-row block then runs gemm → readout → ADC → nibble combine →
     shift-add entirely on cache-resident (bits*batch, banks) buffers with
     in-place array ops.  Output matches ``MacroEngine._block_totals_chunk``
-    of the ``"turbo"`` kernel bit for bit (see module docstring).
+    of the ``"fast"`` and ``"exact"`` kernels bit for bit (see module
+    docstring).
 
     Args:
         engine: A programmed :class:`~repro.engine.MacroEngine`.
@@ -503,14 +496,6 @@ register_kernel(
         level="plane",
         description="einsum row reduction against the cached plane table",
         reduce_plane=_fast_reduce,
-    )
-)
-register_kernel(
-    Kernel(
-        name="turbo",
-        level="plane",
-        description="BLAS gemm row reduction against the cached plane table",
-        reduce_plane=_turbo_reduce,
     )
 )
 register_kernel(

@@ -23,14 +23,14 @@ identical to ``exact`` within a few ULPs of analog voltage (which only
 matters for voltages landing exactly on an ADC decision boundary).  Its
 rows are added one at a time in ascending order, so ``fast`` itself is
 reproducible bit for bit: across a tile grid and one padded macro, and
-against the per-cell row reduction it replaced.  ``method="turbo"`` routes
-the same table through BLAS ``dgemm``, one gemm per block row, which
-reorders the sums (ULP-class differences from ``fast``).
-``method="fused"`` hoists the whole pipeline to layer level — all bit
-planes packed into stacked gemm operands, readout/ADC/combine/shift-add as
-in-place array ops per 32-row block — and is bit-identical to ``turbo``
-(the quantiser absorbs the ULP-scale voltage reordering; the golden suite
-asserts it).  Methods resolve through the pluggable registry in
+against the per-cell row reduction it replaced.  ``method="fused"``, the
+default of every entry point above this engine, hoists the whole pipeline
+to layer level — all bit planes packed into stacked BLAS gemm operands,
+readout/ADC/combine/shift-add as in-place array ops per 32-row block — and
+is bit-identical to ``fast`` and ``exact`` (the quantiser absorbs the
+ULP-scale voltage reordering of the gemm; the golden suite asserts it).
+``exact`` stays this class's own default as the bit-identity reference.
+Methods resolve through the pluggable registry in
 :mod:`repro.engine.kernels`; registering a new backend there makes it
 available everywhere a ``device_exec`` string is accepted.
 
@@ -343,15 +343,15 @@ class MacroEngine:
 
     # --------------------------------------------------- compiled kernel plans
 
-    def precompile(self, device_exec: str = "turbo") -> None:
+    def precompile(self, device_exec: str) -> None:
         """Eagerly materialise every table the *device_exec* kernel needs.
 
         After this call the first request served by the engine runs the hot
         path only — no lazy operand-table or LUT population.  Layer-level
         kernels (``"fused"``) get their fused gemm tables, ``"exact"`` the
         selected-contribution tensor, and the other plane kernels
-        (``"fast"``, ``"turbo"``) their shared plane table; the bucketed
-        calibrated-search LUT is built for every calibrated quantiser.
+        (``"fast"``) the plane table; the bucketed calibrated-search LUT is
+        built for every calibrated quantiser.
         """
         from . import kernels as _kernels
 
@@ -363,11 +363,11 @@ class MacroEngine:
             elif device_exec == "exact":
                 self.selected(key)
             else:
-                _kernels._plane_group_tables(self, key, device_exec)
+                _kernels._plane_group_tables(self, key)
         for quantizer in self._calibrated.values():
             _kernels._calibrated_lut(quantizer)
 
-    def export_kernel_plan(self, device_exec: str = "turbo") -> Dict[str, np.ndarray]:
+    def export_kernel_plan(self, device_exec: str) -> Dict[str, np.ndarray]:
         """Precompile for *device_exec* and export the tables as flat arrays.
 
         The returned dict maps ``{group}_{tensor}`` names to the exact
@@ -552,13 +552,10 @@ class MacroEngine:
                 group.capacitance_total[None],
             )
         quantizer = self._calibrated.get(key) or self._quantizers[key]
-        tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span(
-                "adc_quantize", group=key, calibrated=key in self._calibrated
-            ):
-                return quantizer.quantize_voltages(voltages)
-        return quantizer.quantize_voltages(voltages)
+        with get_tracer().span(
+            "adc_quantize", group=key, calibrated=key in self._calibrated
+        ):
+            return quantizer.quantize_voltages(voltages)
 
     def matvec(self, inputs: InputVector) -> np.ndarray:
         """Bit-serial MAC of one input vector; bit-identical to the legacy loop.
@@ -593,11 +590,9 @@ class MacroEngine:
             method: A kernel from :mod:`repro.engine.kernels` —
                 ``"exact"`` (bit-identical to column-stacked
                 :meth:`matvec`), ``"fast"`` (einsum row reduction against
-                the cached plane table, ULP-level differences), ``"turbo"``
-                (BLAS gemm against the same table, same ULP-level caveat),
-                or ``"fused"``
-                (layer-level batched pipeline, bit-identical to turbo,
-                fastest).
+                the cached plane table, ULP-level differences in analog
+                voltage), or ``"fused"`` (layer-level batched pipeline,
+                bit-identical to ``"fast"``, fastest).
             batch_chunk: Input columns processed per internal chunk (None
                 or an int >= 1; None means ``DEFAULT_BATCH_CHUNK``); bounds
                 transient memory without affecting results.
@@ -684,14 +679,11 @@ class MacroEngine:
         """Per-block-row totals of one batch chunk, shape (batch, banks, R)."""
         kernel = get_kernel(method)
         _KERNEL_DISPATCHES.inc(kernel=kernel.name, level=kernel.level)
-        tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span(
-                "kernel", kernel=kernel.name, level=kernel.level,
-                bits=bits, batch=int(values.shape[1]),
-            ):
-                return self._block_totals_kernel(kernel, values, bits)
-        return self._block_totals_kernel(kernel, values, bits)
+        with get_tracer().span(
+            "kernel", kernel=kernel.name, level=kernel.level,
+            bits=bits, batch=int(values.shape[1]),
+        ):
+            return self._block_totals_kernel(kernel, values, bits)
 
     def _block_totals_kernel(
         self, kernel: Kernel, values: np.ndarray, bits: int

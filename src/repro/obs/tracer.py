@@ -4,8 +4,9 @@ The tracer is a process-wide singleton reached through :func:`get_tracer`.
 Two implementations share one interface:
 
 * :class:`NullTracer` — the default.  ``span()`` returns a shared no-op
-  context manager, so the disabled hot path costs one attribute lookup
-  (``tracer.enabled``) or one trivially-inlined method call.
+  context manager, so instrumented code opens its span unconditionally
+  with ``with get_tracer().span(...):`` and the disabled path costs one
+  method call and the no-op enter/exit (about a microsecond).
 * :class:`Tracer` — the collecting implementation.  Each thread owns a
   bounded ring (``collections.deque(maxlen=...)``) registered once under a
   lock; recording a finished span is a lock-free append to the calling
@@ -94,8 +95,9 @@ _NULL_SPAN = _NullSpan()
 class NullTracer:
     """Disabled tracer: every operation is a no-op.
 
-    ``enabled`` is a plain class attribute, so the canonical hot-path gate
-    ``if tracer.enabled:`` costs one attribute lookup and nothing else.
+    ``span()`` hands out the one shared :class:`_NullSpan`.  ``enabled`` is a
+    plain class attribute for the few callers whose work differs with
+    tracing on (e.g. :class:`timed`, which measures either way).
     """
 
     enabled = False

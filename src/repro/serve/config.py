@@ -2,7 +2,8 @@
 
 :class:`ServeConfig` is the single declarative knob set of
 :class:`~repro.serve.runtime.ServeRuntime`: which scenario is served, on
-which simulated backend, how many warm chip replicas execute requests, how
+which simulated backend and host kernel (the layer-level ``"fused"`` by
+default), how many warm chip replicas execute requests, how
 the micro-batcher coalesces them, and how the bounded request queue pushes
 back when the offered load exceeds the pool's capacity.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
 from ..config.schema import ConfigSchema, FieldSpec
-from ..engine.kernels import validate_device_exec
+from ..engine.kernels import DEFAULT_DEVICE_EXEC, validate_device_exec
 from ..quant.calibration import CALIBRATION_MODES
 from ..system.inference import InferenceConfig
 
@@ -50,9 +51,10 @@ class ServeConfig:
         weight_bits: Weight precision (4 or 8).
         adc_bits: SAR ADC resolution.
         device_exec: Device-backend kernel name from the
-            :mod:`repro.engine.kernels` registry; ``"turbo"`` (default) is
-            the serving throughput mode and ``"fused"`` is the layer-level
-            batched variant (bit-identical, faster on large layers).
+            :mod:`repro.engine.kernels` registry; ``"fused"`` (default) runs
+            each batch through the layer-level batched kernel, and the
+            plane kernels ``"fast"`` and ``"exact"`` give bit-identical
+            predictions more slowly.
         calibration: ``"workload"`` (default) or ``"nominal"`` ADC
             reference placement, applied once at program-build time.
         seed: Programming-variation seed shared by every replica — equal
@@ -98,7 +100,7 @@ class ServeConfig:
     input_bits: int = 4
     weight_bits: int = 8
     adc_bits: Optional[int] = 5
-    device_exec: str = "turbo"
+    device_exec: str = DEFAULT_DEVICE_EXEC
     calibration: str = "workload"
     seed: int = 0
     data_seed: int = 1
@@ -119,6 +121,7 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}")
+        validate_device_exec(self.device_exec)
         if self.pool not in POOL_MODES:
             raise ValueError(f"pool must be one of {POOL_MODES}")
         if self.program_transport not in PROGRAM_TRANSPORTS:
@@ -211,7 +214,8 @@ SERVE_SCHEMA = ConfigSchema(
         FieldSpec("input_bits", 4, doc="activation precision (unsigned)"),
         FieldSpec("weight_bits", 8, doc="weight precision (signed)"),
         FieldSpec("adc_bits", 5, doc="SAR ADC resolution (required concrete)"),
-        FieldSpec("device_exec", "turbo", validate=validate_device_exec,
+        FieldSpec("device_exec", DEFAULT_DEVICE_EXEC,
+                  validate=validate_device_exec,
                   doc="device-backend kernel from the engine registry"),
         FieldSpec("calibration", "workload", choices=CALIBRATION_MODES,
                   doc="ADC reference placement at program-build time"),

@@ -15,7 +15,7 @@ submitted requests through a dynamic micro-batching scheduler:
    up to ``max_batch``, waiting at most ``max_wait_s`` — preserving
    arrival order;
 3. the batch runs on the free replica as **one** engine call (this is the
-   throughput lever: the turbo kernel amortises its fixed per-call cost
+   throughput lever: the fused kernel amortises its fixed per-call cost
    over the whole batch);
 4. results fan back out per request as :class:`InferenceResponse` futures
    carrying the prediction, the measured host latencies, and the modeled

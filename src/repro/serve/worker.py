@@ -392,13 +392,3 @@ class WorkerPool:
                 seen.setdefault(int(info["pid"]), info)
         return [seen[pid] for pid in sorted(seen)]
 
-    def worker_stats(self) -> List[dict]:
-        """Per-replica batch/image counters (thread mode only; empty otherwise)."""
-        return [
-            {
-                "replica_id": worker.replica_id,
-                "batches_served": worker.batches_served,
-                "images_served": worker.images_served,
-            }
-            for worker in self._workers
-        ]

@@ -58,10 +58,6 @@ NONDETERMINISTIC_KEYS = ("timing", "cache")
 # ----------------------------------------------------------------- job body
 
 
-def _float_or_none(value) -> Optional[float]:
-    return None if value is None else float(value)
-
-
 def _acquire_model(
     scenario: Scenario, seed: int, cache: Optional[SweepCache]
 ) -> Tuple[Any, str]:

@@ -9,7 +9,8 @@ turns the grid into a deterministic, de-duplicated list of
 shards across worker processes.
 
 Axes that do not apply to a backend are *collapsed* rather than multiplied:
-a functional-backend job ignores the device-kernel axis, and an
+a functional-backend job ignores the device-kernel axis (its config
+carries the default kernel), and an
 analytic job (shape-level performance model, no runtime inference)
 additionally ignores calibration — so a grid mixing backends never contains
 duplicate work.  Spec-only scenarios (e.g. ``resnet18_cifar10``) pair only
@@ -30,7 +31,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..chipsim.scenarios import get_scenario
 from ..config.schema import ConfigSchema, FieldSpec
 from ..devices.variation import DEFAULT_VARIATION, VariationModel
-from ..engine.kernels import validate_device_exec
+from ..engine.kernels import DEFAULT_DEVICE_EXEC, validate_device_exec
 from ..geometry import DEFAULT_GEOMETRY, MacroGeometry
 from ..system.inference import InferenceConfig
 from .hashing import digest_payload, stable_seed
@@ -43,7 +44,7 @@ __all__ = ["SweepJob", "SweepSpec", "SWEEP_SCHEMA", "BACKENDS"]
 BACKENDS = ("device", "functional", "analytic")
 
 #: Canonical values of the axes a backend ignores (collapsed on expansion).
-_COLLAPSED_EXEC = "fast"
+_COLLAPSED_EXEC = DEFAULT_DEVICE_EXEC
 _COLLAPSED_CALIBRATION = "workload"
 
 
@@ -103,8 +104,8 @@ class SweepSpec:
         adc_bits: ADC resolutions.
         calibrations: ``"workload"`` / ``"nominal"`` axis (inference only).
         device_execs: Engine kernel names (device only), validated against
-            the :mod:`repro.engine.kernels` registry — e.g. ``"fast"``,
-            ``"turbo"``, ``"fused"``.
+            the :mod:`repro.engine.kernels` registry — ``"fused"`` (default),
+            ``"fast"``, ``"exact"``.
         images: Images per job.
         batch_size: Inference batch size.
         seed: Master seed — programming draws use it directly (so jobs that
@@ -121,7 +122,7 @@ class SweepSpec:
     precisions: Tuple[Tuple[int, int], ...] = ((4, 8),)
     adc_bits: Tuple[int, ...] = (5,)
     calibrations: Tuple[str, ...] = ("workload",)
-    device_execs: Tuple[str, ...] = ("fast",)
+    device_execs: Tuple[str, ...] = (DEFAULT_DEVICE_EXEC,)
     images: int = 8
     batch_size: int = 128
     seed: int = 0
@@ -301,7 +302,7 @@ SWEEP_SCHEMA = ConfigSchema(
         FieldSpec("calibrations", ("workload",), to_payload=list,
                   from_payload=_axis,
                   doc="ADC calibration-mode axis (inference backends)"),
-        FieldSpec("device_execs", ("fast",), to_payload=list,
+        FieldSpec("device_execs", (DEFAULT_DEVICE_EXEC,), to_payload=list,
                   from_payload=_axis,
                   doc="device-kernel axis from the engine registry"),
         FieldSpec("images", 8, doc="workload images per job"),

@@ -16,8 +16,10 @@ Two backends execute the layer matmuls:
   :class:`~repro.core.functional.FunctionalIMCModel`, device variation
   folded into per-significance statistics; fastest.
 * ``backend="device"`` — the device-detailed
-  :class:`~repro.engine.MacroEngine`, one per layer, holding the layer's
-  zero-padded weight matrix on one full-layer array state, inside a
+  :class:`~repro.engine.MacroEngine`, one per layer, run by the
+  ``device_exec`` kernel (default ``"fused"``,
+  :data:`~repro.engine.kernels.DEFAULT_DEVICE_EXEC`) and holding the
+  layer's zero-padded weight matrix on one full-layer array state, inside a
   :class:`~repro.chipsim.TiledLayerEngine` that maps the matrix onto a
   grid of real macro tiles: row tiles accumulate digital partial sums in
   global block order, column tiles own disjoint output channels.  This is
@@ -53,7 +55,7 @@ from ..core.functional import (
     FunctionalModelConfig,
 )
 from ..devices.variation import DEFAULT_VARIATION, VariationModel
-from ..engine.kernels import validate_device_exec
+from ..engine.kernels import DEFAULT_DEVICE_EXEC, validate_device_exec
 from ..geometry import DEFAULT_GEOMETRY, MacroGeometry
 from ..obs.tracer import get_tracer
 from ..quant.calibration import CALIBRATION_MODES
@@ -78,10 +80,9 @@ class InferenceConfig:
             (per-cell device-detailed engine; requires a concrete design and
             an ADC resolution).
         device_exec: Execution kernel of the device backend, resolved
-            against the :mod:`repro.engine.kernels` registry: ``"exact"``,
-            ``"fast"`` (default), ``"turbo"`` (cached BLAS operands;
-            ULP-class differences), or ``"fused"`` (layer-level batched
-            kernel, bit-identical to turbo, fastest).
+            against the :mod:`repro.engine.kernels` registry: ``"fused"``
+            (default; layer-level batched kernel, fastest), or the plane
+            kernels ``"exact"`` and ``"fast"`` (bit-identical to it).
         input_bits: Activation precision (unsigned, 1..8).
         weight_bits: Weight precision (signed, 4 or 8).
         adc_bits: ADC resolution; None disables ADC quantisation
@@ -107,7 +108,7 @@ class InferenceConfig:
 
     design: str = "curfe"
     backend: str = "functional"
-    device_exec: str = "fast"
+    device_exec: str = DEFAULT_DEVICE_EXEC
     input_bits: int = 4
     weight_bits: int = 8
     adc_bits: Optional[int] = 5
@@ -196,7 +197,8 @@ INFERENCE_SCHEMA = ConfigSchema(
                   doc="IMC macro design (ideal = plain integer baseline)"),
         FieldSpec("backend", "functional", choices=_BACKENDS,
                   doc="layer-matmul execution backend"),
-        FieldSpec("device_exec", "fast", validate=validate_device_exec,
+        FieldSpec("device_exec", DEFAULT_DEVICE_EXEC,
+                  validate=validate_device_exec,
                   doc="device-backend kernel from the engine registry"),
         FieldSpec("input_bits", 4, doc="activation precision (unsigned)"),
         FieldSpec("weight_bits", 8, doc="weight precision (signed)"),
@@ -437,29 +439,17 @@ class QuantizedInferenceEngine:
         return scale
 
     def _conv(self, name: str, layer: Conv2D, x: np.ndarray) -> np.ndarray:
-        tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span("layer", layer=name, op="conv", batch=int(x.shape[0])):
-                return self._conv_impl(name, layer, x)
-        return self._conv_impl(name, layer, x)
-
-    def _conv_impl(self, name: str, layer: Conv2D, x: np.ndarray) -> np.ndarray:
-        cols, out_h, out_w = im2col(x, layer.kernel_size, layer.stride, layer.padding)
-        scale = self._layer_scale(name, cols)
-        out = self._layers[name].matmul(cols, scale)
         n = x.shape[0]
+        with get_tracer().span("layer", layer=name, op="conv", batch=int(n)):
+            cols, out_h, out_w = im2col(x, layer.kernel_size, layer.stride, layer.padding)
+            scale = self._layer_scale(name, cols)
+            out = self._layers[name].matmul(cols, scale)
         return out.reshape(n, out_h, out_w, layer.out_channels).transpose(0, 3, 1, 2)
 
     def _linear(self, name: str, layer: Linear, x: np.ndarray) -> np.ndarray:
-        tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span("layer", layer=name, op="linear", batch=int(x.shape[0])):
-                return self._linear_impl(name, layer, x)
-        return self._linear_impl(name, layer, x)
-
-    def _linear_impl(self, name: str, layer: Linear, x: np.ndarray) -> np.ndarray:
-        scale = self._layer_scale(name, x)
-        return self._layers[name].matmul(x, scale)
+        with get_tracer().span("layer", layer=name, op="linear", batch=int(x.shape[0])):
+            scale = self._layer_scale(name, x)
+            return self._layers[name].matmul(x, scale)
 
     # -------------------------------------------------------------- interface
 

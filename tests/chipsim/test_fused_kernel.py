@@ -1,24 +1,28 @@
 """Bit-identity gate of the fused layer-level kernel.
 
 The golden contract of the kernel-dispatch layer: ``device_exec="fused"``
-must be ``array_equal`` to ``"turbo"`` everywhere it can run — both
-designs, calibrated and uncalibrated, tile grids and single engines, raw
-engine matmats and full scenario inference — and a serving deployment built
-on a fused program must reproduce its own offline :meth:`ChipSimulator.run`
-bit-for-bit.  Activity counters are a property of the simulated chip, not
-of the host kernel, so fused and turbo must report identical counts.
+must be ``array_equal`` to the ``"fast"`` plane kernel everywhere it can
+run — both designs, calibrated and uncalibrated, tile grids and single
+engines, raw engine matmats and full scenario inference — and a serving
+deployment built on a fused program must reproduce its own offline
+:meth:`ChipSimulator.run` bit-for-bit.  Activity counters are a property of
+the simulated chip, not of the host kernel, so fused and fast must report
+identical counts.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chipsim.tiling import TiledLayerEngine
 from repro.core.macro import IMCMacroConfig
-from repro.devices.variation import DEFAULT_VARIATION
+from repro.devices.variation import DEFAULT_VARIATION, NO_VARIATION
 from repro.engine.array_state import ArrayState
 from repro.engine.macro_engine import MacroEngine
+from repro.quant.quantize import signed_range
 from repro.serve import ChipProgram, ServeConfig, ServeRuntime
 from repro.system.inference import InferenceConfig, QuantizedInferenceEngine
 from repro.system.nn import SmallCNN
@@ -38,10 +42,45 @@ def monolithic_engine(weights, *, design, seed=3):
     return engine, padded_rows
 
 
+@settings(max_examples=240, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=260),  # 1-3 row tiles
+    cols=st.integers(min_value=1, max_value=34),  # 1-3 column tiles
+    design=st.sampled_from(["curfe", "chgfe"]),
+    weight_bits=st.sampled_from([4, 8]),
+    adc_bits=st.integers(min_value=3, max_value=8),
+    bits=st.integers(min_value=1, max_value=8),
+    variation=st.sampled_from([DEFAULT_VARIATION, NO_VARIATION]),
+    calibrated=st.booleans(),
+    batch=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_exact_fast_and_fused_are_array_equal(
+    rows, cols, design, weight_bits, adc_bits, bits, variation, calibrated,
+    batch, seed,
+):
+    rng = np.random.default_rng(seed)
+    lo, hi = signed_range(weight_bits)
+    tiled = TiledLayerEngine(
+        rng.integers(lo, hi + 1, size=(rows, cols)), design=design,
+        adc_bits=adc_bits, weight_bits=weight_bits, variation=variation,
+        seed=seed,
+    )
+    if calibrated:
+        samples = rng.integers(0, 2**bits, size=(rows, 6))
+        tiled.calibrate_references(samples, bits=bits)
+    inputs = rng.integers(0, 2**bits, size=(rows, batch))
+    fused = tiled.matmat(inputs, bits=bits, method="fused")
+    for method in ("exact", "fast"):
+        assert np.array_equal(
+            tiled.matmat(inputs, bits=bits, method=method), fused
+        ), method
+
+
 class TestEngineBitIdentity:
     @pytest.mark.parametrize("design", ["curfe", "chgfe"])
     @pytest.mark.parametrize("calibrated", [False, True])
-    def test_tiled_fused_equals_turbo(self, design, calibrated):
+    def test_tiled_fused_equals_fast(self, design, calibrated):
         rng = np.random.default_rng(11)
         weights = rng.integers(-128, 128, size=(200, 20))
         tiled = TiledLayerEngine(
@@ -50,13 +89,13 @@ class TestEngineBitIdentity:
         inputs = rng.integers(0, 16, size=(200, 9))
         if calibrated:
             tiled.calibrate_references(inputs, bits=4)
-        turbo = tiled.matmat(inputs, bits=4, method="turbo")
+        fast = tiled.matmat(inputs, bits=4, method="fast")
         fused = tiled.matmat(inputs, bits=4, method="fused")
-        assert np.array_equal(fused, turbo)
+        assert np.array_equal(fused, fast)
 
     @pytest.mark.parametrize("design", ["curfe", "chgfe"])
     @pytest.mark.parametrize("calibrated", [False, True])
-    def test_monolithic_fused_equals_turbo(self, design, calibrated):
+    def test_monolithic_fused_equals_fast(self, design, calibrated):
         rng = np.random.default_rng(12)
         weights = rng.integers(-128, 128, size=(96, 12))
         mono, padded_rows = monolithic_engine(weights, design=design)
@@ -65,9 +104,9 @@ class TestEngineBitIdentity:
         padded[:96] = inputs
         if calibrated:
             mono.calibrate_references(padded, bits=4)
-        turbo = mono.matmat(padded, bits=4, method="turbo")
+        fast = mono.matmat(padded, bits=4, method="fast")
         fused = mono.matmat(padded, bits=4, method="fused")
-        assert np.array_equal(fused, turbo)
+        assert np.array_equal(fused, fast)
 
     def test_narrow_weights_and_odd_bits(self):
         rng = np.random.default_rng(13)
@@ -77,9 +116,9 @@ class TestEngineBitIdentity:
             seed=1, weight_bits=4,
         )
         inputs = rng.integers(0, 8, size=(160, 6))
-        turbo = tiled.matmat(inputs, bits=3, method="turbo")
+        fast = tiled.matmat(inputs, bits=3, method="fast")
         fused = tiled.matmat(inputs, bits=3, method="fused")
-        assert np.array_equal(fused, turbo)
+        assert np.array_equal(fused, fast)
 
     def test_fused_tracks_recalibration(self):
         """The hoisted layer engine must follow calibrate/clear, not cache
@@ -94,16 +133,16 @@ class TestEngineBitIdentity:
         tiled.calibrate_references(inputs, bits=4)
         calibrated = tiled.matmat(inputs, bits=4, method="fused")
         assert np.array_equal(
-            calibrated, tiled.matmat(inputs, bits=4, method="turbo")
+            calibrated, tiled.matmat(inputs, bits=4, method="fast")
         )
         tiled.clear_calibration()
         assert np.array_equal(nominal, tiled.matmat(inputs, bits=4, method="fused"))
 
-    def test_activity_counters_identical_to_turbo(self):
+    def test_activity_counters_identical_to_fast(self):
         rng = np.random.default_rng(15)
         weights = rng.integers(-128, 128, size=(200, 20))
         counts = {}
-        for method in ("turbo", "fused"):
+        for method in ("fast", "fused"):
             tiled = TiledLayerEngine(
                 weights, design="curfe", variation=DEFAULT_VARIATION, seed=5
             )
@@ -113,7 +152,7 @@ class TestEngineBitIdentity:
                 tiled.columns_processed, tiled.block_macs,
                 tiled.psum_adds, tiled.tile_matmats,
             )
-        assert counts["fused"] == counts["turbo"]
+        assert counts["fused"] == counts["fast"]
 
 
 class TestScenarioBitIdentity:
@@ -123,10 +162,10 @@ class TestScenarioBitIdentity:
         return rng.random((4, 3, 16, 16))
 
     @pytest.mark.parametrize("calibration", ["workload", "nominal"])
-    def test_smallcnn_fused_equals_turbo(self, small_images, calibration):
+    def test_smallcnn_fused_equals_fast(self, small_images, calibration):
         model = SmallCNN(seed=0)
         logits = {}
-        for device_exec in ("turbo", "fused"):
+        for device_exec in ("fast", "fused"):
             engine = QuantizedInferenceEngine(
                 model,
                 InferenceConfig(
@@ -136,7 +175,7 @@ class TestScenarioBitIdentity:
                 ),
             )
             logits[device_exec] = engine.forward(small_images)
-        assert np.array_equal(logits["fused"], logits["turbo"])
+        assert np.array_equal(logits["fused"], logits["fast"])
 
 
 class TestFusedServing:
@@ -156,16 +195,16 @@ class TestFusedServing:
             predictions = runtime.serve(images)
         np.testing.assert_array_equal(predictions, offline)
 
-    def test_fused_program_matches_turbo_program(self):
-        """Same deployment, turbo vs fused kernel: identical predictions."""
+    def test_fused_program_matches_fast_program(self):
+        """Same deployment, fast vs fused kernel: identical predictions."""
         base = ServeConfig(
             scenario="tiny_mlp", backend="device", design="curfe",
-            device_exec="turbo", calibration_images=8,
+            device_exec="fast", calibration_images=8,
             replicas=1, max_batch=4,
         )
         fused = dataclasses.replace(base, device_exec="fused")
         rng = np.random.default_rng(78)
         images = rng.random((6, *ChipProgram.build(base).input_shape))
-        turbo_pred = ChipProgram.build(base).instantiate().run(images).predictions
+        fast_pred = ChipProgram.build(base).instantiate().run(images).predictions
         fused_pred = ChipProgram.build(fused).instantiate().run(images).predictions
-        np.testing.assert_array_equal(fused_pred, turbo_pred)
+        np.testing.assert_array_equal(fused_pred, fast_pred)

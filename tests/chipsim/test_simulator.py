@@ -58,17 +58,6 @@ class TestTiledBitIdentity:
         result = tiled.matmat(inputs, bits=4, method=method)
         assert np.array_equal(result, expected)
 
-    def test_turbo_close_to_fast(self):
-        rng = np.random.default_rng(4)
-        weights = rng.integers(-128, 128, size=(150, 20))
-        tiled = TiledLayerEngine(
-            weights, design="curfe", variation=DEFAULT_VARIATION, seed=1
-        )
-        inputs = rng.integers(0, 16, size=(150, 4))
-        fast = tiled.matmat(inputs, bits=4, method="fast")
-        turbo = tiled.matmat(inputs, bits=4, method="turbo")
-        assert np.allclose(turbo, fast, rtol=1e-9, atol=1e-9)
-
 
 class TestActivityCounts:
     def test_simulated_activity_matches_analytic_mapping(

@@ -165,7 +165,7 @@ def test_slice_width_keeps_one_tile_chunk_of_cells(rows, cols, width):
     tiled = TiledLayerEngine(np.zeros((rows, cols), dtype=np.int64), design="chgfe")
     assert slice_width(cols, tiled.total_blocks, 256) == width
     widths = record_slices(tiled)
-    tiled.matmat(np.ones((rows, width + 1), dtype=np.int64), bits=1)
+    tiled.matmat(np.ones((rows, width + 1), dtype=np.int64), bits=1, method="fast")
     assert widths == [width, 1]
 
 

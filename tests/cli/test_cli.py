@@ -31,7 +31,7 @@ scenario: tiny_mlp
 inference:
   backend: device
   design: curfe
-  device_exec: turbo
+  device_exec: fused
   adc_bits: 5
   seed: 11
 workload:
@@ -62,7 +62,7 @@ class TestRunBitIdentity:
         payload = cmd_run(load_document(RUN_YAML))
 
         config = InferenceConfig(
-            backend="device", design="curfe", device_exec="turbo",
+            backend="device", design="curfe", device_exec="fused",
             adc_bits=5, seed=11,
         )
         scenario = get_scenario("tiny_mlp")

@@ -7,15 +7,20 @@ kernel through ``MacroEngine.matmat``, the bucketed-LUT calibrated search
 calibrated bit-identity rests on).
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.chipsim import ChipSimulator, TiledLayerEngine
+from repro.chipsim.scenarios import get_scenario
 from repro.circuits.adc import CalibratedMACQuantizer
 from repro.core.macro import IMCMacroConfig
-from repro.devices.variation import DEFAULT_VARIATION
+from repro.devices.variation import DEFAULT_VARIATION, NO_VARIATION
 from repro.engine import kernels
 from repro.engine.array_state import ArrayState
 from repro.engine.kernels import (
+    DEFAULT_DEVICE_EXEC,
     Kernel,
     get_kernel,
     register_kernel,
@@ -24,7 +29,9 @@ from repro.engine.kernels import (
     validate_device_exec,
 )
 from repro.engine.macro_engine import MacroEngine
-from repro.system.inference import InferenceConfig
+from repro.serve import SERVE_SCHEMA, ServeConfig
+from repro.sweep.spec import SWEEP_SCHEMA, SweepSpec
+from repro.system.inference import INFERENCE_SCHEMA, InferenceConfig
 
 
 def build_engine(weights, *, design="curfe", seed=0):
@@ -40,14 +47,33 @@ def build_engine(weights, *, design="curfe", seed=0):
 
 class TestRegistry:
     def test_builtin_kernels_registered(self):
-        names = registered_kernels()
-        for name in ("exact", "fast", "turbo", "fused"):
-            assert name in names
+        assert registered_kernels() == ("exact", "fast", "fused")
+        with pytest.raises(ValueError, match="registered kernels"):
+            get_kernel("turbo")
+
+    @pytest.mark.parametrize(
+        "config_cls, fields",
+        [
+            (InferenceConfig, {"backend": "device", "device_exec": "turbo"}),
+            (ServeConfig, {"device_exec": "turbo"}),
+            (SweepSpec, {"scenarios": ("tiny_mlp",), "device_execs": ("turbo",)}),
+        ],
+        ids=["inference", "serve", "sweep"],
+    )
+    def test_configs_naming_the_deleted_kernel_are_refused(
+        self, config_cls, fields
+    ):
+        """A config written for the deleted ``turbo`` kernel fails where it
+        enters, built directly or loaded from a document, and the error
+        names the kernels that remain."""
+        with pytest.raises(ValueError, match="registered kernels"):
+            config_cls(**fields)
+        with pytest.raises(ValueError, match="registered kernels"):
+            config_cls.from_dict(fields)
 
     def test_get_kernel_levels(self):
         assert get_kernel("exact").level == "plane"
         assert get_kernel("fast").level == "plane"
-        assert get_kernel("turbo").level == "plane"
         assert get_kernel("fused").level == "layer"
 
     def test_unknown_kernel_lists_registered_names(self):
@@ -68,7 +94,7 @@ class TestRegistry:
             InferenceConfig(backend="device", device_exec="trubo")
 
     def test_duplicate_registration_requires_replace(self):
-        kernel = get_kernel("turbo")
+        kernel = get_kernel("fast")
         with pytest.raises(ValueError, match="already registered"):
             register_kernel(kernel)
         assert register_kernel(kernel, replace=True) is kernel
@@ -87,15 +113,39 @@ class TestRegistry:
                    reduce_plane=lambda *a: None)
 
 
+class TestDefaultKernel:
+    def test_every_entry_point_defaults_to_fused(self):
+        assert DEFAULT_DEVICE_EXEC == "fused"
+        assert InferenceConfig().device_exec == DEFAULT_DEVICE_EXEC
+        assert ServeConfig().device_exec == DEFAULT_DEVICE_EXEC
+        spec = SweepSpec(scenarios=("tiny_mlp",), backends=("device", "functional"))
+        assert spec.device_execs == (DEFAULT_DEVICE_EXEC,)
+        # Functional jobs collapse the kernel axis onto the default too.
+        assert {job.config["device_exec"] for job in spec.expand()} == {
+            DEFAULT_DEVICE_EXEC
+        }
+        for schema, field, default in (
+            (INFERENCE_SCHEMA, "device_exec", DEFAULT_DEVICE_EXEC),
+            (SERVE_SCHEMA, "device_exec", DEFAULT_DEVICE_EXEC),
+            (SWEEP_SCHEMA, "device_execs", (DEFAULT_DEVICE_EXEC,)),
+        ):
+            assert schema.describe()[field]["default"] == default, schema.name
+        model = get_scenario("tiny_mlp").build(seed=0)
+        simulator = ChipSimulator(model, variation=NO_VARIATION)
+        assert simulator.config.device_exec == DEFAULT_DEVICE_EXEC
+        matmat = inspect.signature(TiledLayerEngine.matmat)
+        assert matmat.parameters["method"].default == DEFAULT_DEVICE_EXEC
+
+
 class TestCustomKernelDispatch:
     def test_registered_plane_kernel_is_dispatched(self):
-        """A plugged-in kernel reusing the turbo reduction must produce
-        turbo-identical output through the standard matmat entry point."""
-        turbo = get_kernel("turbo")
+        """A plugged-in kernel reusing the fast reduction must produce
+        fast-identical output through the standard matmat entry point."""
+        fast = get_kernel("fast")
         custom = Kernel(
-            name="turbo_alias", level="plane",
-            description="test alias of turbo",
-            reduce_plane=turbo.reduce_plane,
+            name="fast_alias", level="plane",
+            description="test alias of fast",
+            reduce_plane=fast.reduce_plane,
         )
         register_kernel(custom)
         try:
@@ -104,13 +154,13 @@ class TestCustomKernelDispatch:
             engine = build_engine(weights)
             inputs = rng.integers(0, 16, size=(64, 5))
             assert np.array_equal(
-                engine.matmat(inputs, bits=4, method="turbo_alias"),
-                engine.matmat(inputs, bits=4, method="turbo"),
+                engine.matmat(inputs, bits=4, method="fast_alias"),
+                engine.matmat(inputs, bits=4, method="fast"),
             )
         finally:
-            unregister_kernel("turbo_alias")
+            unregister_kernel("fast_alias")
         with pytest.raises(ValueError, match="registered kernels"):
-            engine.matmat(inputs, bits=4, method="turbo_alias")
+            engine.matmat(inputs, bits=4, method="fast_alias")
 
 
 class TestCalibratedLut:
@@ -182,7 +232,7 @@ class TestPrecompiledPlanInvalidation:
     def test_precompile_materialises_all_tables(self):
         engine, _, _ = self._calibrated_engine()
         assert not engine._plane_tables and not engine._fused_tables
-        engine.precompile("turbo")
+        engine.precompile("fast")
         assert set(engine._plane_tables) == set(engine._group_keys())
         engine.precompile("fused")
         assert set(engine._fused_tables) == set(engine._group_keys())
@@ -191,7 +241,7 @@ class TestPrecompiledPlanInvalidation:
 
     def test_program_weights_invalidates_precompiled_state(self):
         engine, _, rng = self._calibrated_engine()
-        engine.precompile("turbo")
+        engine.precompile("fast")
         engine.precompile("fused")
         new_weights = rng.integers(-128, 128, size=(64, 8))
         engine.program_weights(new_weights)
@@ -202,7 +252,7 @@ class TestPrecompiledPlanInvalidation:
         # precompiled engine programmed with the new weights computes.
         fresh = build_engine(new_weights)
         inputs = rng.integers(0, 16, size=(64, 5))
-        for method in ("turbo", "fused"):
+        for method in ("fast", "fused"):
             assert np.array_equal(
                 engine.matmat(inputs, bits=4, method=method),
                 fresh.matmat(inputs, bits=4, method=method),
@@ -220,27 +270,27 @@ class TestPrecompiledPlanInvalidation:
             assert kernels._LUT_ATTR not in quantizer.__dict__
         engine.precompile("fused")
         # The rebuilt LUT must reproduce searchsorted semantics: fused
-        # (LUT path) equals turbo (direct quantiser path) bit for bit.
+        # (LUT path) equals fast (direct quantiser path) bit for bit.
         inputs = rng.integers(0, 16, size=(64, 5))
         assert np.array_equal(
             engine.matmat(inputs, bits=4, method="fused"),
-            engine.matmat(inputs, bits=4, method="turbo"),
+            engine.matmat(inputs, bits=4, method="fast"),
         )
 
     def test_clear_calibration_reverts_to_nominal(self):
         engine, weights, rng = self._calibrated_engine()
-        engine.precompile("turbo")
+        engine.precompile("fast")
         inputs = rng.integers(0, 16, size=(64, 5))
         engine.clear_calibration()
         assert not engine._calibrated
         nominal = build_engine(weights)
-        for method in ("turbo", "fused"):
+        for method in ("fast", "fused"):
             assert np.array_equal(
                 engine.matmat(inputs, bits=4, method=method),
                 nominal.matmat(inputs, bits=4, method=method),
             )
 
-    @pytest.mark.parametrize("device_exec", ["turbo", "fused", "fast"])
+    @pytest.mark.parametrize("device_exec", ["exact", "fast", "fused"])
     def test_kernel_plan_round_trip_is_bit_identical(self, device_exec):
         engine, weights, rng = self._calibrated_engine()
         plan = engine.export_kernel_plan(device_exec)

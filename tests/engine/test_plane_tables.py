@@ -1,6 +1,6 @@
 """The cached kernel tables against test-side oracles, and what they cache.
 
-``"fast"`` and ``"turbo"`` reduce each bit plane against one cached
+``"fast"`` reduces each bit plane against one cached
 (num_block_rows, block_rows, banks*4) table per group, and ``"fused"``
 builds its tables from the same block-row-major difference.  The oracles
 below are the per-cell forms those tables replaced: the difference is
@@ -9,8 +9,8 @@ below are the per-cell forms those tables replaced: the difference is
 ``plane[..., r] * difference[..., r, :]`` for r = 0, 1, ... in order.  Bit
 planes are 0/1, so every product is exact and ``"fast"`` must equal the
 oracle bit for bit — a guard on einsum's accumulation order, which an
-unpinned numpy could change.  A BLAS reduction (``"turbo"``) reorders the
-sums and fails it.
+unpinned numpy could change.  A BLAS reduction reorders the sums and
+fails it.
 """
 
 import numpy as np
@@ -98,6 +98,8 @@ class TestPlaneTableOracles:
                 kernels._fast_reduce(engine, plane, key),
                 oracle_fast_reduce(engine, plane, key),
             ), key
+            table, _ = kernels._plane_group_tables(engine, key)
+            assert table.flags.c_contiguous
 
     @settings(max_examples=30, deadline=None)
     @given(plane_cases())
@@ -128,7 +130,7 @@ class TestTableBuildsKeepNoPerCellTensors:
     plan's cached bit expansion)."""
 
     @pytest.mark.parametrize("design", ["curfe", "chgfe"])
-    @pytest.mark.parametrize("device_exec", ["fast", "turbo", "fused"])
+    @pytest.mark.parametrize("device_exec", ["fast", "fused"])
     def test_table_kernels_cache_no_per_cell_tensors(self, design, device_exec):
         engine, inputs = small_engine(design)
         engine.matmat(inputs, bits=4, method=device_exec)
@@ -144,19 +146,9 @@ class TestTableBuildsKeepNoPerCellTensors:
         assert set(engine._selected) == set(engine._group_keys())
         assert set(engine._stored) == set(engine._group_keys())
 
-    def test_fast_and_turbo_share_one_table(self):
-        engine, inputs = small_engine()
-        engine.matmat(inputs, bits=4, method="fast")
-        tables = dict(engine._plane_tables)
-        engine.matmat(inputs, bits=4, method="turbo")
-        for key, (table, unselected_sum) in engine._plane_tables.items():
-            assert table is tables[key][0]
-            assert unselected_sum is tables[key][1]
-            assert table.shape == (2, 32, 6 * 4) and table.flags.c_contiguous
-
 
 class TestPlanBuildSpan:
-    @pytest.mark.parametrize("device_exec", ["fast", "turbo", "fused"])
+    @pytest.mark.parametrize("device_exec", ["fast", "fused"])
     def test_one_span_per_group_table_build(self, device_exec):
         engine, inputs = small_engine()
         tracer = Tracer()

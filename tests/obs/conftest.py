@@ -27,7 +27,7 @@ def obs_serve_config():
         scenario="tiny_mlp",
         backend="device",
         design="curfe",
-        device_exec="turbo",
+        device_exec="fused",
         calibration_images=8,
         replicas=1,
         max_batch=4,

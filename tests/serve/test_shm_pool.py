@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 
 import repro.engine.shm as shm_module
+from repro.engine import kernels
+from repro.obs.tracer import Tracer, set_tracer
 from repro.serve import ChipProgram, ServeConfig, WorkerPool
 from repro.serve.worker import _memory_bytes
 
@@ -35,7 +37,7 @@ def shm_images(request_images):
 class TestTransportBitIdentity:
     @pytest.mark.parametrize("design", ["curfe", "chgfe"])
     @pytest.mark.parametrize("calibration", ["workload", "nominal"])
-    @pytest.mark.parametrize("device_exec", ["turbo", "fused"])
+    @pytest.mark.parametrize("device_exec", ["fast", "fused"])
     def test_shm_equals_pickle_equals_offline(
         self, design, calibration, device_exec, shm_images
     ):
@@ -200,6 +202,40 @@ class TestColdStartLatency:
             if ratio <= 1.5:
                 break
         assert ratio <= 1.5, f"first request {ratio:.2f}x steady-state median"
+
+    @pytest.mark.parametrize("device_exec", ["fast", "fused"])
+    def test_first_request_builds_no_tables(
+        self, device_exec, device_serve_config, shm_images, monkeypatch
+    ):
+        """The timing-free form of the warm-start contract: the program's
+        compiled plans cover every kernel table, so neither stamping a
+        replica (its warm-up request included) nor the first request builds
+        one (no ``plan_build`` span), and the first request builds no
+        calibrated-search LUT — for a plane kernel and for the layer
+        kernel."""
+        program = ChipProgram.build(
+            dataclasses.replace(device_serve_config, device_exec=device_exec)
+        )
+        lut_builds = []
+        build_lut = kernels._calibrated_lut
+
+        def recording_lut(quantizer):
+            if kernels._LUT_ATTR not in quantizer.__dict__:
+                lut_builds.append(quantizer)
+            return build_lut(quantizer)
+
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            chip = program.instantiate()
+            monkeypatch.setattr(kernels, "_calibrated_lut", recording_lut)
+            chip.predict(shm_images)
+        finally:
+            set_tracer(previous)
+        names = {span["name"] for span in tracer.spans()}
+        assert {"program.instantiate", "kernel"} <= names  # both ran traced
+        assert "plan_build" not in names
+        assert not lut_builds
 
 
 class TestMemoryProbe:

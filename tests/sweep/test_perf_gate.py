@@ -17,7 +17,7 @@ _spec.loader.exec_module(check_perf_floor)
 BASELINES = [
     {
         "file": "BENCH_chipsim.json",
-        "metric": "scenarios.deep_cnn.speedup_turbo_vs_fast",
+        "metric": "scenarios.deep_cnn.speedup_fused_vs_fast",
         "baseline": 5.0,
         "tolerance": 0.5,
     },
@@ -34,7 +34,7 @@ def records(speedup=5.0, jobs_per_s=10.0):
     return {
         "BENCH_chipsim.json": {
             "tiny": False,
-            "scenarios": {"deep_cnn": {"speedup_turbo_vs_fast": speedup}},
+            "scenarios": {"deep_cnn": {"speedup_fused_vs_fast": speedup}},
         },
         "BENCH_sweep.json": {
             "tiny": False,
@@ -53,7 +53,7 @@ class TestCheckFloors:
     def test_regression_below_band_fails(self):
         errors = check_perf_floor.check_floors(records(speedup=2.4), BASELINES)
         assert len(errors) == 1
-        assert "speedup_turbo_vs_fast" in errors[0]
+        assert "speedup_fused_vs_fast" in errors[0]
         assert "2.4" in errors[0]
 
     def test_multiple_regressions_all_reported(self):

@@ -130,9 +130,9 @@ class TestCacheKeys:
         assert programming_key(base, "w") == programming_key(variant, "w")
 
     def test_programming_key_ignores_exec(self):
-        turbo = InferenceConfig(backend="device", device_exec="turbo")
+        fused = InferenceConfig(backend="device", device_exec="fused")
         exact = InferenceConfig(backend="device", device_exec="exact")
-        assert programming_key(turbo, "w") == programming_key(exact, "w")
+        assert programming_key(fused, "w") == programming_key(exact, "w")
 
     def test_programming_key_tracks_design_seed_weights(self):
         base = InferenceConfig(backend="device")
@@ -158,12 +158,16 @@ class TestCacheKeys:
 
     def test_key_digests_are_pinned(self):
         """Existing cache directories stay valid: the digests never drift."""
-        config = InferenceConfig(backend="device")
+        config = InferenceConfig(backend="device", device_exec="fast")
         assert programming_key(config, "w") == (
             "b23746c134fd34d7169e9e2eef4fb26952c993755bf0dd1c3331d44497e78e4d"
         )
         assert calibration_key(config, "w", "d", 8) == (
             "5d9311efeef2e7ccbcf39a400828852d6c9e875be1d6ac3e10a5586d3055087a"
+        )
+        # The default kernel (fused) keys its own calibration entries.
+        assert calibration_key(InferenceConfig(backend="device"), "w", "d", 8) == (
+            "0509cbbde1b53a17090b81d00fc59618e97f1b8267c991df574e018819ec24cb"
         )
 
 

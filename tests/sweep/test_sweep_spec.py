@@ -18,7 +18,7 @@ class TestInferenceConfigRoundTrip:
         config = InferenceConfig(
             design="chgfe",
             backend="device",
-            device_exec="turbo",
+            device_exec="fast",
             input_bits=6,
             weight_bits=4,
             adc_bits=6,
@@ -74,7 +74,7 @@ class TestSweepSpecExpansion:
         spec = SweepSpec(
             scenarios=("tiny_mlp",),
             backends=("functional",),
-            device_execs=("exact", "fast", "turbo"),
+            device_execs=("exact", "fast", "fused"),
         )
         jobs = spec.expand()
         assert len(jobs) == 1  # device_exec does not multiply
