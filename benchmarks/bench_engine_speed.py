@@ -43,9 +43,12 @@ CHARACTERISE_CONFIG = IMCMacroConfig(
 )
 
 #: Characterisation builds timed.  The record keeps the fastest: a busy
-#: host only ever slows a sample down, and both floors sit between the
-#: throughput of a select-based bisection step (0.18-0.23M cells/s on a
-#: 2-vCPU host) and the in-place branch-free step's (0.28-0.46M).
+#: host only ever slows a sample down.  On a 2-vCPU host the safeguarded
+#: Newton solve read 1.33-2.04M cells/s (full and tiny records, CI-like
+#: runs of all four tiny benches included), the 60-step in-place
+#: bisection it replaced 0.28-0.46M; both floors (1.2M full, 1.19M tiny)
+#: sit at least 10% below the lowest Newton reading and far above any
+#: bisection reading.
 CHARACTERISE_REPEATS = 3
 
 #: The calibration group timed: deep_cnn's fc layer (768 x 96 8-bit

@@ -16,8 +16,8 @@ device-detailed ``fused`` path, three ways:
    program over the same inputs, ``array_equal``;
 4. **cold-start probe** — process-pool deployments of a large program over
    both program transports (``shm`` / ``pickle``) at increasing worker
-   counts: per-worker startup time (program receive + replica stamp,
-   whose one-image warm-up request is included) and
+   counts: per-worker startup time (program receive + replica stamp;
+   process workers skip the in-process replicas' warm-up request) and
    the private-RSS split from ``smaps_rollup``, from which the headline
    shm metrics derive — ``worker_startup_speedup`` (pickle vs shm mean
    init at fan-out) and ``rss_ratio`` (all shm workers' private memory vs

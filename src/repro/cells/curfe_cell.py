@@ -92,14 +92,24 @@ class CurFeCellParameters:
         return self.common_mode_voltage / self.base_resistance
 
 
-#: Bisection steps of the series operating-point solve.
-BISECTION_STEPS = 60
+#: Cap on the Newton steps of the series operating-point solve.  Cells
+#: converge in a handful; the cap only bounds a pathological input.
+SOLVE_STEPS = 60
 
-#: Cells solved together.  A chunk keeps the dozen buffers of a bisection
-#: step in cache; whole-layer arrays (~3e5 cells) stream each one through
+#: Cells solved together.  A chunk keeps the dozen buffers of a solver step
+#: in cache; whole-layer arrays (~3e5 cells) stream each one through
 #: memory.  16384 characterised ~10-15% faster than 8192 or 32768 on a 2-vCPU
 #: Xeon with a 2 MiB L2 per core.
 SOLVE_CHUNK = 16384
+
+#: A cell is converged, and stops moving, once its step is at most this
+#: many machine epsilons of its drop (or of its source voltage, if larger).
+_STOP_EPS = 4 * np.finfo(float).eps
+
+#: Names the series solver where solved tables are stored (the sweep
+#: cache's ``programming`` keys).  Change it with any solver change that can
+#: move a table's last bits, so stored tables of the old solver miss.
+SOLVER_REVISION = "safeguarded-newton"
 
 
 def curfe_series_currents(
@@ -119,40 +129,46 @@ def curfe_series_currents(
     (scalar, per device) and the array engine's batched characterisation, so
     both paths produce bit-identical currents.
 
-    The same conventions as the scalar solver apply: when the FeFET cannot
-    conduct even the smallest resistor current the cell is effectively off
-    (FeFET current with the full drop across it); when the FeFET acts as a
-    perfect switch the resistor limits entirely; otherwise
-    :data:`BISECTION_STEPS` steps of bisection on the intermediate node
-    voltage.  Every operation is elementwise, so solving the flattened
-    inputs in chunks of :data:`SOLVE_CHUNK` cells gives each cell exactly
-    the floats a whole-array solve would.
+    When the FeFET cannot conduct even the smallest resistor current the
+    cell is effectively off (FeFET current with the full drop across it);
+    when the FeFET acts as a perfect switch the resistor limits entirely;
+    a non-positive drop gives zero.  Every other cell is solved for the
+    FeFET's drain-source voltage ``v`` by Newton's method, safeguarded by
+    bisection (``rtsafe``, Press et al., *Numerical Recipes*, 3rd ed.,
+    §9.4).  The mismatch ``(drop - v) / R - I(v)`` is convex and decreasing,
+    so from ``v = 0`` the iterates rise to the root without overshoot, in
+    3-5 steps for the CurFe tables; each mismatch sign narrows a
+    ``[lo, hi]`` bracket, and a step that would leave it bisects instead.
 
-    Each bisection step runs in place over buffers allocated once per chunk
-    and keeps no branch: with ``p`` the 0/1 float of ``mismatch(mid) > 0``
-    it sets ``lo = max(lo, mid * p)`` and ``hi = max(mid, hi * p)``.  For
-    every cell whose bisected value is kept (a finite drop > 0 with
-    ``f_lo > 0`` and ``f_hi < 0``) ``0 <= lo <= mid <= hi`` holds at every
-    step, so these are exactly the select ``lo = mid if p else lo``,
-    ``hi = hi if p else mid``; cells on a closed-form branch are
-    overwritten afterwards whatever the loop left in them.
+    A cell stops moving once its step is at most ``4 * eps`` times the
+    larger of its drop and its source voltage (the drain bias
+    ``(source + v) - source`` resolves ``v`` no finer than the source's
+    spacing), or after :data:`SOLVE_STEPS` steps.  So its current depends on
+    its own inputs only: solving the inputs in buffered chunks of at most
+    :data:`SOLVE_CHUNK` cells, in any order or one by one, gives each cell
+    the same floats.  The result sits within the mismatch's rounding noise
+    of the root, as a long bisection's does, but not bit-equal to it.
     """
-    arrays = np.broadcast_arrays(
-        *(
-            np.asarray(value, dtype=float)
-            for value in (total_drop, gate_voltage, source_voltage, resistance, vth)
-        )
-    )
-    shape = arrays[0].shape
-    currents = np.empty(arrays[0].size)
-    for start in range(0, currents.size, SOLVE_CHUNK):
-        chunk = slice(start, start + SOLVE_CHUNK)
-        # ``flat`` copies one chunk of each input, so a broadcast input is
-        # never expanded to a whole-array copy.
-        currents[chunk] = _solve_series_chunk(
-            *(array.flat[chunk] for array in arrays), params
-        )
-    return currents.reshape(shape)
+    inputs = [
+        np.asarray(value, dtype=float)
+        for value in (total_drop, gate_voltage, source_voltage, resistance, vth)
+    ]
+    currents = np.empty(np.broadcast_shapes(*(array.shape for array in inputs)))
+    solved = currents.reshape(-1)
+    # The buffered iterator hands out C-order chunks of the broadcast
+    # inputs, copying a broadcast input's chunk into a contiguous buffer, so
+    # no input is expanded to a whole-array copy.
+    start = 0
+    for chunk in np.nditer(
+        inputs,
+        flags=["external_loop", "buffered", "zerosize_ok"],
+        order="C",
+        buffersize=SOLVE_CHUNK,
+    ):
+        stop = start + chunk[0].size
+        solved[start:stop] = _solve_series_chunk(*chunk, params)
+        start = stop
+    return currents
 
 
 def _solve_series_chunk(total_drop, gate_voltage, source_voltage, resistance, vth, params):
@@ -160,10 +176,13 @@ def _solve_series_chunk(total_drop, gate_voltage, source_voltage, resistance, vt
     # The gate bias is fixed during the solve: only the drain side of the
     # FeFET model depends on the iterate.
     factor = fefet_bias_factor(gate_voltage, source_voltage, vth, params)
-    i_fefet, work = np.empty_like(total_drop), np.empty_like(total_drop)
+    i_fefet, work, slope = (np.empty_like(total_drop) for _ in range(3))
 
-    def mismatch(v_fefet: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Resistor minus FeFET current at node voltage ``v_fefet``, into ``out``."""
+    def mismatch(v_fefet: np.ndarray, out: np.ndarray, slope_out=None) -> np.ndarray:
+        """Resistor minus FeFET current at node voltage ``v_fefet``, into ``out``.
+
+        ``slope_out``, when given, receives the FeFET's ``dI/dv`` there.
+        """
         fefet_current_from_factor(
             factor,
             np.add(source_voltage, v_fefet, out=work),
@@ -171,33 +190,47 @@ def _solve_series_chunk(total_drop, gate_voltage, source_voltage, resistance, vt
             params,
             out=i_fefet,
             work=work,
+            slope=slope_out,
         )
         i_resistor = np.divide(np.subtract(total_drop, v_fefet, out=out), resistance, out=out)
         return np.subtract(i_resistor, i_fefet, out=out)
 
-    lo = np.zeros_like(total_drop)
-    hi = total_drop.copy()
-    f_lo = mismatch(lo, np.empty_like(lo))
-    f_hi = mismatch(hi, np.empty_like(hi))
-    # Elements with f_lo <= 0 (FeFET off) or f_hi >= 0 (resistor-limited)
-    # take a closed-form branch below; run the bisection only when some
-    # element actually needs it.
-    if np.any((f_lo > 0) & (f_hi < 0)):
-        mid, positive = np.empty_like(lo), np.empty_like(lo)
-        for _ in range(BISECTION_STEPS):
-            np.multiply(0.5, np.add(lo, hi, out=mid), out=mid)
-            # 1.0 where the mismatch is positive, else 0.0; the maxima are
-            # exact selects while 0 <= lo <= mid <= hi (see the docstring).
-            np.greater(mismatch(mid, positive), 0.0, out=positive)
-            np.maximum(mid, np.multiply(hi, positive, out=hi), out=hi)
-            np.maximum(lo, np.multiply(mid, positive, out=mid), out=lo)
-    v_fefet = 0.5 * (lo + hi)
-    bisected = (total_drop - v_fefet) / resistance
-    off_current = fefet_current_from_factor(
-        factor, source_voltage + total_drop, source_voltage, params
-    )
+    # The full drop across the FeFET: f_hi >= 0 means the resistor limits,
+    # and the FeFET current there is an off cell's current.
+    f_hi = mismatch(total_drop, np.empty_like(total_drop))
+    off_current = i_fefet.copy()
+    v_fefet = np.zeros_like(total_drop)
+    f = mismatch(v_fefet, np.empty_like(total_drop), slope)
+    off = f <= 0
+    active = ~off & (f_hi < 0)
+    if active.any():
+        lo, hi = np.zeros_like(total_drop), total_drop.copy()
+        scale = np.maximum(np.abs(total_drop), np.abs(source_voltage))
+        tolerance = np.multiply(scale, _STOP_EPS, out=scale)
+        conductance = np.reciprocal(resistance)
+        step, inside = np.empty_like(total_drop), np.empty_like(total_drop, dtype=bool)
+        for _ in range(SOLVE_STEPS):
+            # The root lies above v where the mismatch is positive.
+            positive = f > 0
+            np.copyto(lo, v_fefet, where=positive)
+            np.copyto(hi, v_fefet, where=~positive)
+            # Newton's step; the mismatch slope is -(1/R + dI/dv) < 0.
+            np.divide(f, np.add(conductance, slope, out=step), out=step)
+            candidate = np.add(v_fefet, step, out=f)
+            np.logical_and(candidate >= lo, candidate <= hi, out=inside)
+            midpoint = np.multiply(np.add(lo, hi, out=step), 0.5, out=step)
+            np.copyto(candidate, midpoint, where=~inside)
+            # Move the active cells; freeze those whose step was below the
+            # tolerance.
+            np.abs(np.subtract(candidate, v_fefet, out=step), out=step)
+            np.copyto(v_fefet, candidate, where=active)
+            np.logical_and(active, step > tolerance, out=active)
+            if not active.any():
+                break
+            mismatch(v_fefet, f, slope)
+    solved = (total_drop - v_fefet) / resistance
     resistor_limited = total_drop / resistance
-    result = np.where(f_lo <= 0, off_current, np.where(f_hi >= 0, resistor_limited, bisected))
+    result = np.where(off, off_current, np.where(f_hi >= 0, resistor_limited, solved))
     return np.where(total_drop <= 0, 0.0, result)
 
 

@@ -28,8 +28,9 @@ triode-to-saturation transition in ``Vds``.  The same expression models the
 pFeFET with the overdrive mirrored (``Vth - Vgs``); the device is
 symmetric, so ``Vds`` enters as ``|Vd - Vs|`` for either polarity.  The
 drain part (:func:`fefet_current_from_factor`) can evaluate into buffers
-the caller owns, which is how the CurFe series solver runs its 60-step
-bisection without allocating a temporary per step.
+the caller owns and also return ``dI/d|Vds|``, which is how the CurFe
+series solver takes its Newton steps on the drain voltage without a
+second model implementation or a float temporary per step.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def fefet_bias_factor(vg, vs, vth, params: FeFETParameters) -> np.ndarray:
 
 
 def fefet_current_from_factor(
-    factor, vd, vs, params: FeFETParameters, *, out=None, work=None
+    factor, vd, vs, params: FeFETParameters, *, out=None, work=None, slope=None
 ) -> np.ndarray:
     """Drain current (A) from a :func:`fefet_bias_factor` and the drain bias.
 
@@ -175,12 +176,20 @@ def fefet_current_from_factor(
     A solver that evaluates the model at every iterate passes its own
     buffers: ``out`` (the broadcast shape of all inputs) receives the
     current and ``work`` (the shape of ``vd - vs``; ``vd`` may be ``work``
-    itself) is overwritten, so the call allocates nothing.  Without them
+    itself) is overwritten, so the call allocates no float temporary (a
+    ``slope`` request adds one boolean mask).  Without them
     every step allocates its result, as a plain expression would; both ways
     run the same operations and give the same floats.
+
+    ``slope`` (the shape of ``out``), when given, receives ``dI/d|Vds|``,
+    the derivative of the returned current with respect to the folded
+    drain-source voltage (the right-hand derivative at ``Vds = 0``), and 0
+    where the compliance clamp binds.  It is what a Newton step on the
+    drain voltage needs; the current itself is unchanged by asking for it.
     """
     p = params
     vt = _THERMAL_VOLTAGE
+    lam = p.channel_length_modulation
     vds = np.subtract(
         np.asarray(vd, dtype=float), np.asarray(vs, dtype=float), out=work
     )
@@ -189,12 +198,20 @@ def fefet_current_from_factor(
     vds = np.abs(vds, out=work)
     # Channel-length modulation and the triode-to-saturation transition;
     # ``vds / -vt`` is exactly ``-vds / vt``.
-    modulation = np.add(
-        1.0, np.multiply(p.channel_length_modulation, vds, out=out), out=out
-    )
-    triode = np.subtract(1.0, np.exp(np.divide(vds, -vt, out=work), out=work), out=work)
+    modulation = np.add(1.0, np.multiply(lam, vds, out=out), out=out)
+    decay = np.exp(np.divide(vds, -vt, out=work), out=work)
+    if slope is not None:
+        # d/d|Vds| of factor * (1 - decay) * modulation, with decay' =
+        # -decay / vt: factor * (decay * (modulation / vt - lam) + lam).
+        np.subtract(np.divide(modulation, vt, out=slope), lam, out=slope)
+        np.add(np.multiply(slope, decay, out=slope), lam, out=slope)
+        np.multiply(factor, slope, out=slope)
+    triode = np.subtract(1.0, decay, out=work)
     channel = np.multiply(factor, np.multiply(triode, modulation, out=out), out=out)
     current = np.add(channel, p.leakage_current, out=out)
+    if slope is not None:
+        # The clamped current is flat: zero slope where it binds.
+        np.copyto(slope, 0.0, where=current > p.max_on_current)
     # Compliance clamp: real FeFET read paths saturate.
     return np.minimum(current, p.max_on_current, out=out)
 

@@ -288,13 +288,15 @@ class ChipProgram:
             layer.bias[...] = self.model_arrays[layer_name]["bias"]
         return model
 
-    def instantiate(self) -> WarmChip:
+    def instantiate(self, *, warm_up: bool = True) -> WarmChip:
         """Stamp out one warm replica of the programmed chip.
 
         Device programs restore the characterised cell state through the
         sweep-cache round trip (no variation draws are consumed), apply the
         captured reference levels, pin the activation scales, and run one
-        calibration image as a warm-up request.
+        calibration image as a warm-up request.  ``warm_up=False`` skips
+        that request: a process-pool worker's first request runs about as
+        fast without it, so there it would only delay the worker's start.
         Functional programs rebuild the engine and replay the calibration
         batch — the builder's own warmup, reproduced exactly.  Either way
         the replica's per-image results are bit-identical to the builder's.
@@ -334,7 +336,8 @@ class ChipProgram:
                 # finds warm host caches and an already-grown heap instead of
                 # paying for them; references and scales are pinned, so it
                 # changes no result.
-                engine.predict(self.calibration_images[:1], batch_size=1)
+                if warm_up:
+                    engine.predict(self.calibration_images[:1], batch_size=1)
                 return WarmChip(engine, simulator, self)
             engine = QuantizedInferenceEngine(model, config)
             engine.predict(

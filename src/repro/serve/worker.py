@@ -112,8 +112,12 @@ def _init_process_worker(payload, transport: str, service_delay_s: float) -> Non
         program, _PROCESS_ARENA = payload.load()
     else:
         program = pickle.loads(payload)
+    # No warm-up request: in a fresh process it costs one request's compute
+    # at start and buys the first request almost nothing.
     _PROCESS_WORKER = ChipWorker(
-        os.getpid(), program.instantiate(), service_delay_s=service_delay_s
+        os.getpid(),
+        program.instantiate(warm_up=False),
+        service_delay_s=service_delay_s,
     )
     _PROCESS_INFO = {
         "pid": os.getpid(),

@@ -41,6 +41,7 @@ from typing import Dict, Mapping, Optional
 
 import numpy as np
 
+from ..cells.curfe_cell import SOLVER_REVISION
 from ..core.macro import IMCMacroConfig
 from ..devices.variation import NO_VARIATION
 from ..engine.array_state import ArrayState
@@ -94,12 +95,15 @@ def _programming_config_payload(config: InferenceConfig) -> Dict[str, object]:
     """The config fields that influence cell characterisation/programming.
 
     ``adc_bits``, ``calibration`` and ``device_exec`` are deliberately
-    absent: the programmed cell state is identical across them.
+    absent: the programmed cell state is identical across them.  The cell
+    solver's revision is present: an entry stores solved tables, and a
+    solver whose floats differ must not restore them.
     """
     payload = config.to_dict()
     for key in ("adc_bits", "calibration", "calibration_samples",
                 "device_exec", "input_bits", "backend"):
         payload.pop(key)
+    payload["cell_solver"] = SOLVER_REVISION
     return payload
 
 

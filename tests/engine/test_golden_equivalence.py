@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.inputs import InputVector
 from repro.core.macro import ChgFeMacro, CurFeMacro, IMCMacroConfig
-from repro.devices.variation import DEFAULT_VARIATION, NO_VARIATION
+from repro.devices.variation import DEFAULT_VARIATION, NO_VARIATION, VariationModel
 from repro.engine import ArrayState, MacroEngine
 
 MACRO_CLASSES = {"curfe": CurFeMacro, "chgfe": ChgFeMacro}
@@ -139,6 +139,33 @@ class TestArrayStateConstruction:
                 assert (
                     built_group.feedback_resistance
                     == harvested_group.feedback_resistance
+                )
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            VariationModel(resistor_sigma=0.0, capacitor_sigma=0.0),
+            VariationModel(vth_sigma=0.0),
+            VariationModel(vth_sigma=0.0, resistor_sigma=0.0, capacitor_sigma=0.0),
+        ],
+        ids=["vth-only", "passives-only", "all-zero"],
+    )
+    def test_build_matches_from_macro_for_every_sigma_mix(self, design, model):
+        """A zero sigma consumes no draw, so the other streams keep their order."""
+        config = make_config(8, model, banks=2, seed=5)
+        built = ArrayState.build(design, config)
+        harvested = ArrayState.from_macro(MACRO_CLASSES[design](config))
+        for group_key in ("high", "low"):
+            built_group = built.group(group_key)
+            harvested_group = harvested.group(group_key)
+            for field in ("on", "off_selected", "unselected"):
+                assert np.array_equal(
+                    np.asarray(getattr(built_group, field)),
+                    getattr(harvested_group, field),
+                ), (group_key, field)
+            if design == "chgfe":
+                assert np.array_equal(
+                    built_group.capacitance, harvested_group.capacitance
                 )
 
     def test_build_with_explicit_rng_matches_seeded_macro(self, design):

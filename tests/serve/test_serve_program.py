@@ -1,11 +1,13 @@
 """ChipProgram / WarmChip: build-once, replicate-bit-identically."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
-from repro.serve import ChipProgram, ServeConfig
+from repro.obs.tracer import Tracer, set_tracer
+from repro.serve import ChipProgram, ServeConfig, worker
 from repro.system.inference import InferenceConfig, QuantizedInferenceEngine
 from repro.system.nn import SmallCNN
 
@@ -101,6 +103,41 @@ class TestInstantiate:
         np.testing.assert_array_equal(
             whole, chip.predict(request_images, batch_size=5)
         )
+
+    def test_warm_up_request_can_be_skipped(self, device_program, request_images):
+        """The warm-up is the only kernel work a replica's stamping does."""
+        chips = {}
+        for warm_up in (True, False):
+            tracer = Tracer()
+            previous = set_tracer(tracer)
+            try:
+                chips[warm_up] = device_program.instantiate(warm_up=warm_up)
+            finally:
+                set_tracer(previous)
+            names = {span["name"] for span in tracer.spans()}
+            assert "program.instantiate" in names
+            assert ("kernel" in names) == warm_up
+        np.testing.assert_array_equal(
+            chips[False].predict(request_images), chips[True].predict(request_images)
+        )
+
+    def test_process_worker_skips_the_warm_up(self, device_program, monkeypatch):
+        calls = []
+        instantiate = ChipProgram.instantiate
+
+        def recording(program, **kwargs):
+            calls.append(kwargs)
+            return instantiate(program, **kwargs)
+
+        monkeypatch.setattr(ChipProgram, "instantiate", recording)
+        # The initializer sets process globals and a quiet tracer: keep both
+        # to this test.
+        for name in ("_PROCESS_WORKER", "_PROCESS_ARENA", "_PROCESS_INFO"):
+            monkeypatch.setattr(worker, name, None)
+        monkeypatch.setattr(worker, "set_tracer", lambda tracer: None)
+        worker._init_process_worker(pickle.dumps(device_program), "pickle", 0.0)
+        assert calls == [{"warm_up": False}]
+        assert worker._PROCESS_INFO["transport"] == "pickle"
 
     def test_functional_replica_matches_builder(
         self, functional_program, request_images

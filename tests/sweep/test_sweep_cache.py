@@ -7,6 +7,7 @@ from repro.chipsim.tiling import TiledLayerEngine
 from repro.devices.variation import DEFAULT_VARIATION
 from repro.sweep import SweepCache, arrays_from_state, restore_state
 from repro.obs.metrics import REGISTRY
+from repro.sweep import cache
 from repro.sweep.cache import calibration_key, programming_key
 from repro.system.inference import InferenceConfig
 
@@ -134,6 +135,12 @@ class TestCacheKeys:
         exact = InferenceConfig(backend="device", device_exec="exact")
         assert programming_key(fused, "w") == programming_key(exact, "w")
 
+    def test_programming_key_tracks_the_cell_solver(self, monkeypatch):
+        config = InferenceConfig(backend="device")
+        before = programming_key(config, "w")
+        monkeypatch.setattr(cache, "SOLVER_REVISION", "another-solver")
+        assert programming_key(config, "w") != before
+
     def test_programming_key_tracks_design_seed_weights(self):
         base = InferenceConfig(backend="device")
         assert programming_key(base, "w1") != programming_key(base, "w2")
@@ -157,10 +164,15 @@ class TestCacheKeys:
         )
 
     def test_key_digests_are_pinned(self):
-        """Existing cache directories stay valid: the digests never drift."""
+        """Existing cache directories stay valid: the digests never drift.
+
+        A programming key also names the cell solver (``SOLVER_REVISION``),
+        so it moves only with a solver whose tables differ: it moved from
+        ``b23746c1…`` when a Newton solve replaced the bisection.
+        """
         config = InferenceConfig(backend="device", device_exec="fast")
         assert programming_key(config, "w") == (
-            "b23746c134fd34d7169e9e2eef4fb26952c993755bf0dd1c3331d44497e78e4d"
+            "1ec6ea925179b27e38ba8a0509445198649b8630b3232b16c232bc287efadb2c"
         )
         assert calibration_key(config, "w", "d", 8) == (
             "5d9311efeef2e7ccbcf39a400828852d6c9e875be1d6ac3e10a5586d3055087a"
