@@ -39,7 +39,6 @@ __all__ = [
     "CurFeCellParameters",
     "CurFeCell",
     "curfe_series_currents",
-    "characterise_curfe_cells",
     "characterise_curfe_group",
 ]
 
@@ -234,45 +233,6 @@ def _solve_series_chunk(total_drop, gate_voltage, source_voltage, resistance, vt
     return np.where(total_drop <= 0, 0.0, result)
 
 
-def characterise_curfe_cells(
-    vth_offsets,
-    resistor_tolerances,
-    *,
-    significance,
-    is_sign_cell,
-    params: CurFeCellParameters,
-    stored_bit: int = 1,
-    input_bit: int = 1,
-):
-    """Vectorised signed bitline currents for a tensor of CurFe cells (A).
-
-    All array arguments broadcast together.  ``significance`` selects the
-    binary-weighted drain resistance per cell and ``is_sign_cell`` flips the
-    bias (source at ``VDDi``) and the current sign, exactly like
-    :meth:`CurFeCell.bitline_current` does per device.
-    """
-    if stored_bit not in (0, 1) or input_bit not in (0, 1):
-        raise ValueError("stored_bit and input_bit must be 0 or 1")
-    vth_offsets = np.asarray(vth_offsets, dtype=float)
-    resistor_tolerances = np.asarray(resistor_tolerances, dtype=float)
-    significance = np.asarray(significance)
-    is_sign_cell = np.asarray(is_sign_cell, dtype=bool)
-    state_vth = params.low_vth if stored_bit == 1 else params.high_vth
-    vth = state_vth + vth_offsets
-    resistance = (
-        params.base_resistance / (2 ** significance).astype(float)
-    ) * (1.0 + resistor_tolerances)
-    gate = params.read_voltage if input_bit == 1 else params.idle_voltage
-    drop = np.where(
-        is_sign_cell,
-        params.sign_supply_voltage - params.common_mode_voltage,
-        params.common_mode_voltage,
-    )
-    source = np.where(is_sign_cell, params.common_mode_voltage, 0.0)
-    current = curfe_series_currents(drop, gate, source, resistance, vth, params.fefet_params)
-    return np.where(is_sign_cell, -current, current)
-
-
 def characterise_curfe_group(
     vth_offsets,
     resistor_tolerances,
@@ -284,23 +244,37 @@ def characterise_curfe_group(
 
     ``vth_offsets`` / ``resistor_tolerances`` have shape (..., 4) with the
     column significance on the last axis (column 3 is the sign cell of a
-    signed group).  Returns ``(on, off_selected, unselected)`` — the single
-    characterisation entry point shared by the detailed blocks and
-    :meth:`repro.engine.ArrayState.build`.
+    signed group): column ``i``'s drain resistance is the binary-weighted
+    5 MΩ / 2^i, and the sign cell's bias (source at ``VDDi``) and current
+    sign are flipped, exactly like :meth:`CurFeCell.bitline_current` does
+    per device.  Returns the signed bitline currents ``(on, off_selected,
+    unselected)`` — the single characterisation entry point shared by the
+    detailed blocks and :meth:`repro.engine.ArrayState.build`.  The
+    resistances, the bias columns and the stored-'1' thresholds are built
+    once and serve every table they enter.
     """
-    is_sign = np.zeros(4, dtype=bool)
-    is_sign[-1] = signed
-    kwargs = dict(significance=np.arange(4), is_sign_cell=is_sign, params=params)
-    return tuple(
-        characterise_curfe_cells(
-            vth_offsets,
-            resistor_tolerances,
-            stored_bit=stored,
-            input_bit=selected,
-            **kwargs,
-        )
-        for stored, selected in ((1, 1), (0, 1), (1, 0))
+    vth_offsets = np.asarray(vth_offsets, dtype=float)
+    is_sign = np.array([False, False, False, signed])
+    resistance = (
+        params.base_resistance / (2 ** np.arange(4)).astype(float)
+    ) * (1.0 + np.asarray(resistor_tolerances, dtype=float))
+    drop = np.where(
+        is_sign,
+        params.sign_supply_voltage - params.common_mode_voltage,
+        params.common_mode_voltage,
     )
+    source = np.where(is_sign, params.common_mode_voltage, 0.0)
+    low_vth = params.low_vth + vth_offsets
+
+    def table(vth, gate: float) -> np.ndarray:
+        current = curfe_series_currents(
+            drop, gate, source, resistance, vth, params.fefet_params
+        )
+        return np.negative(current, out=current, where=is_sign)
+
+    on = table(low_vth, params.read_voltage)
+    off_selected = table(params.high_vth + vth_offsets, params.read_voltage)
+    return on, off_selected, table(low_vth, params.idle_voltage)
 
 
 class CurFeCell:

@@ -175,10 +175,10 @@ class ChipSimulator:
         geometry: Macro geometry shared by mapper, tiles, and cost model.
         variation: Device-variation statistics of every cell.
         seed: Seed of the programming-variation draws.
-        device_exec: Engine kernel name resolved through the
-            :mod:`repro.engine.kernels` registry — ``"fused"`` (default;
-            layer-level batched GEMM), or the plane kernels ``"exact"`` and
-            ``"fast"``, which give bit-identical results more slowly.
+        device_exec: Engine kernel, one of the three in
+            :mod:`repro.engine.kernels` — ``"fused"`` (default; layer-level
+            batched GEMM), or the plane kernels ``"exact"`` and ``"fast"``,
+            which give bit-identical results more slowly.
         calibration: ``"workload"`` (default) programs each layer's ADC
             reference bank from its first batch, which is what reaches the
             paper's accuracy at ``adc_bits=5``; ``"nominal"`` keeps the

@@ -33,8 +33,9 @@ and splits the padded batch into column slices, run on a persistent pool
 of ``os.cpu_count()`` threads (numpy releases the GIL inside the heavy
 kernels) and joined in submission order; a single-core host runs them in a
 plain loop.  A slice holds as many cells per plane tensor as one 128×16
-tile holds per engine chunk, so the working set of each thread stays that
-of one tile.
+tile holds per engine chunk of
+:data:`~repro.engine.macro_engine.DEFAULT_BATCH_CHUNK` columns, so the
+working set of each thread stays that of one tile.
 
 Activity counters
 -----------------
@@ -66,9 +67,10 @@ import numpy as np
 
 from ..core.macro import IMCMacroConfig
 from ..devices.variation import NO_VARIATION, VariationModel
+from ..engine import macro_engine
 from ..engine.array_state import ArrayState
-from ..engine.kernels import DEFAULT_DEVICE_EXEC, get_kernel
-from ..engine.macro_engine import MacroEngine, _chunk_size
+from ..engine.kernels import DEFAULT_DEVICE_EXEC, validate_device_exec
+from ..engine.macro_engine import MacroEngine
 from ..geometry import DEFAULT_GEOMETRY, MacroGeometry
 from ..obs.tracer import get_tracer
 from ..quant.calibration import DEFAULT_MAX_SAMPLES
@@ -365,7 +367,6 @@ class TiledLayerEngine:
         *,
         bits: int,
         method: str = DEFAULT_DEVICE_EXEC,
-        batch_chunk: Optional[int] = None,
     ) -> np.ndarray:
         """Batched bit-serial MAC of many input vectors through the layer.
 
@@ -377,25 +378,21 @@ class TiledLayerEngine:
             method: ``"fused"`` (default; layer-level batched kernel,
                 fastest), ``"exact"`` or ``"fast"`` (plane kernels, run on
                 batch slices) — all three bit-identical to a single padded
-                macro — or any other kernel registered in
-                :mod:`repro.engine.kernels`.
-            batch_chunk: Input columns per internal engine chunk.
+                macro.
 
         Returns:
             Float array of shape (weight_cols, batch).
         """
-        kernel = get_kernel(method)
+        validate_device_exec(method)
         macs_before = self.block_macs
         with get_tracer().span(
             "tiled_layer",
-            kernel=kernel.name,
-            level=kernel.level,
+            kernel=method,
+            level="layer" if method == "fused" else "plane",
             tiles=self.num_tiles,
             bits=bits,
         ) as span:
-            result = self._matmat_impl(
-                inputs, bits=bits, method=method, batch_chunk=batch_chunk
-            )
+            result = self._matmat_impl(inputs, bits=bits, method=method)
             span.set(
                 batch=int(result.shape[1]),
                 block_macs=int(self.block_macs - macs_before),
@@ -403,15 +400,8 @@ class TiledLayerEngine:
         return result
 
     def _matmat_impl(
-        self,
-        inputs: np.ndarray,
-        *,
-        bits: int,
-        method: str,
-        batch_chunk: Optional[int],
+        self, inputs: np.ndarray, *, bits: int, method: str
     ) -> np.ndarray:
-        kernel = get_kernel(method)
-        chunk = _chunk_size(batch_chunk)
         inputs = np.asarray(inputs)
         if inputs.ndim == 1:
             inputs = inputs[:, None]
@@ -423,10 +413,8 @@ class TiledLayerEngine:
         padded = self._padded(coerce_unsigned_codes(inputs, bits))
         batch = padded.shape[1]
         engine = self.engine
-        if kernel.level == "layer":
-            results = engine.matmat(
-                padded, bits=bits, method=method, batch_chunk=chunk
-            )
+        if method == "fused":
+            results = engine.matmat(padded, bits=bits, method=method)
             self._count_matmat(batch)
             return results
 
@@ -434,6 +422,7 @@ class TiledLayerEngine:
         # slices holding as many cells per plane tensor as one tile chunk.
         engine.precompile(method)
         geometry = self.geometry
+        chunk = macro_engine.DEFAULT_BATCH_CHUNK
         tile_chunk = geometry.weight_columns * geometry.blocks_per_macro * chunk
         width = max(1, min(chunk, tile_chunk // (self.weight_cols * self.total_blocks)))
         tracer = get_tracer()
@@ -444,10 +433,7 @@ class TiledLayerEngine:
             with tracer.span(
                 "slice", parent=parent, first_column=start, columns=stop - start
             ):
-                return engine.matmat(
-                    padded[:, start:stop], bits=bits, method=method,
-                    batch_chunk=chunk,
-                )
+                return engine.matmat(padded[:, start:stop], bits=bits, method=method)
 
         starts = range(0, batch, width)
         pool = self._worker_pool() if len(starts) > 1 else None

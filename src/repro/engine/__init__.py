@@ -33,15 +33,10 @@ __all__ = [
     "ArrayState",
     "GroupArrays",
     "MacroEngine",
-    "Kernel",
-    "get_kernel",
-    "register_kernel",
-    "registered_kernels",
-    "unregister_kernel",
+    "KERNEL_TABLES",
     "validate_device_exec",
     "ArenaManifest",
     "SharedArena",
-    "ShmArrayState",
     "host_shared_arrays",
     "shm_available",
 ]
@@ -49,19 +44,11 @@ __all__ = [
 _SHM_API = (
     "ArenaManifest",
     "SharedArena",
-    "ShmArrayState",
     "host_shared_arrays",
     "shm_available",
 )
 
-_KERNEL_API = (
-    "Kernel",
-    "get_kernel",
-    "register_kernel",
-    "registered_kernels",
-    "unregister_kernel",
-    "validate_device_exec",
-)
+_KERNEL_API = ("KERNEL_TABLES", "validate_device_exec")
 
 
 def __getattr__(name):

@@ -101,18 +101,14 @@ def _characterise_group(design: str, vth_offsets, resistor_tolerances, signed, p
 #: those three values, yet computing them runs the iterative cell solver —
 #: the dominant cost of restoring a cached/shared state, where every tensor
 #: is immediately replaced anyway.  Cell-parameter dataclasses are frozen,
-#: so they hash; exotic unhashable params simply bypass the cache.
+#: so they hash.
 _NOMINAL_GROUP_CACHE: dict = {}
 
 
 def _nominal_group_tables(design: str, signed: bool, params):
     """One characterised nominal row (on, off_selected, unselected), memoised."""
-    try:
-        key = (design, signed, params)
-        cached = _NOMINAL_GROUP_CACHE.get(key)
-    except TypeError:
-        key = None
-        cached = None
+    key = (design, signed, params)
+    cached = _NOMINAL_GROUP_CACHE.get(key)
     if cached is None:
         zeros = np.zeros((1, NUM_COLUMNS))
         tables = []
@@ -120,9 +116,7 @@ def _nominal_group_tables(design: str, signed: bool, params):
             table = np.asarray(table)
             table.flags.writeable = False
             tables.append(table)
-        cached = tuple(tables)
-        if key is not None:
-            _NOMINAL_GROUP_CACHE[key] = cached
+        cached = _NOMINAL_GROUP_CACHE[key] = tuple(tables)
     return cached
 
 

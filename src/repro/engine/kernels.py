@@ -1,35 +1,39 @@
-"""Pluggable device-execution kernels for the macro engine.
+"""The three device-execution kernels of the macro engine.
 
 Every ``device_exec`` method of the device-detailed path — the value users
 pass to :class:`~repro.system.inference.InferenceConfig`,
 :class:`~repro.chipsim.ChipSimulator`, the sweep grid, and the serving
-stack — resolves here to a :class:`Kernel`: a named implementation of the
-bit-serial MAC arithmetic over an
-:class:`~repro.engine.array_state.ArrayState`.  The registry is the single
-source of truth for which methods exist, so validation errors everywhere
-list the same set and a new backend (a compiled kernel, a GPU path) is one
-:func:`register_kernel` call away.  :data:`DEFAULT_DEVICE_EXEC` (``"fused"``)
-is the one default of every entry point.
+stack — names one of three fixed host kernels of the bit-serial MAC
+arithmetic over an :class:`~repro.engine.array_state.ArrayState`:
+``"exact"``, ``"fast"`` and ``"fused"``.  :data:`KERNEL_TABLES` lists them,
+and every config surface checks a name with :func:`validate_device_exec`,
+so a typo always raises the same error.  :data:`DEFAULT_DEVICE_EXEC`
+(``"fused"``) is the one default of every entry point.
+
+Each kernel computes on its own operand tables per weight group, named in
+:data:`KERNEL_TABLES` as exported kernel plans name them
+(``{group}_{name}``).  :func:`kernel_tables` builds them once per stored
+pattern into the engine's one table cache.
 
 Two kernel granularities exist:
 
-``level="plane"``
+plane kernels, ``"exact"`` and ``"fast"``
     The kernel reduces **one input bit plane** over the array rows and
     returns the per-column analog contributions; the engine then applies
     the shared readout pipeline (TIA / charge sharing, ADC, nibble
-    combine, shift-add) per plane.  ``"exact"`` and ``"fast"`` are plane
-    kernels.  ``"fast"`` reduces against one cached table per group,
-    (num_block_rows, block_rows, banks*4) and contiguous, with an
+    combine, shift-add) per plane.  ``"exact"`` keeps the legacy
+    expression per cell; ``"fast"`` reduces against one cached table per
+    group, (num_block_rows, block_rows, banks*4) and contiguous, with an
     ``einsum`` whose inner loop runs over the banks*4 axis.
 
-``level="layer"``
+the layer kernel, ``"fused"``
     The kernel consumes the **whole batch of input values** at once and
     returns the per-block digital totals directly, free to reorganise the
-    entire pipeline for throughput.  ``"fused"`` is the layer kernel: it
-    packs all bit planes into stacked GEMM operands, runs one BLAS call per
-    32-row block against tables whose four physical columns are
-    pre-combined where the design allows it, and quantises/combines/
-    shift-adds with in-place array ops over cache-resident block slices.
+    entire pipeline for throughput.  It packs all bit planes into stacked
+    GEMM operands, runs one BLAS call per 32-row block against tables whose
+    four physical columns are pre-combined where the design allows it, and
+    quantises/combines/shift-adds with in-place array ops over
+    cache-resident block slices.
 
 Exactness
 ---------
@@ -47,16 +51,13 @@ difference it introduces lives in the analog voltage *before* ADC
 quantisation and is at ULP scale, far below an LSB (or the spacing of
 calibrated reference levels), so the quantised codes — and everything
 digital after them — are identical to ``"fast"`` and ``"exact"`` on both
-designs, calibrated and uncalibrated.  ``"exact"`` and ``"fast"`` stay
-registered as the oracles the tests compare ``"fused"`` against
+designs, calibrated and uncalibrated.  ``"exact"`` and ``"fast"`` stay as
+the oracles the tests compare ``"fused"`` against
 (``tests/chipsim/test_fused_kernel.py`` asserts ``array_equal``, including
 a ``hypothesis`` property over layer shapes and precisions).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -66,12 +67,9 @@ from .array_state import CURFE_DESIGN, NUM_COLUMNS
 
 __all__ = [
     "DEFAULT_DEVICE_EXEC",
-    "Kernel",
-    "register_kernel",
-    "unregister_kernel",
-    "get_kernel",
-    "registered_kernels",
+    "KERNEL_TABLES",
     "validate_device_exec",
+    "kernel_tables",
     "fused_block_totals",
 ]
 
@@ -80,110 +78,59 @@ __all__ = [
 #: schemas, the chip simulator, the sweep grid and the layer engine.
 DEFAULT_DEVICE_EXEC = "fused"
 
-
-@dataclass(frozen=True)
-class Kernel:
-    """One registered device-execution backend.
-
-    Attributes:
-        name: Registry key; the ``device_exec`` string users select.
-        level: ``"plane"`` (per-bit-plane row reduction, engine applies the
-            shared readout pipeline) or ``"layer"`` (whole-batch kernel
-            returning per-block digital totals directly).
-        description: One-line summary shown in docs and error messages.
-        reduce_plane: For plane kernels: ``f(engine, plane, key)`` mapping a
-            (batch, num_block_rows, block_rows) bit plane to the per-column
-            analog contributions of shape (batch, banks, num_block_rows, 4).
-        block_totals: For layer kernels: ``f(engine, values, bits)`` mapping
-            a (rows, batch) unsigned input chunk to per-block digital totals
-            of shape (batch, banks, num_block_rows).
-        integer_plane: Plane kernels only — whether ``reduce_plane`` wants
-            the raw integer bit plane instead of a float cast (the
-            ``"exact"`` kernel preserves the legacy integer expression
-            structure).
-    """
-
-    name: str
-    level: str
-    description: str
-    reduce_plane: Optional[Callable] = None
-    block_totals: Optional[Callable] = None
-    integer_plane: bool = False
-
-    def __post_init__(self) -> None:
-        if self.level not in ("plane", "layer"):
-            raise ValueError("kernel level must be 'plane' or 'layer'")
-        if self.level == "plane" and self.reduce_plane is None:
-            raise ValueError(f"plane kernel {self.name!r} needs reduce_plane")
-        if self.level == "layer" and self.block_totals is None:
-            raise ValueError(f"layer kernel {self.name!r} needs block_totals")
-
-
-_REGISTRY: Dict[str, Kernel] = {}
-
-
-def register_kernel(kernel: Kernel, *, replace: bool = False) -> Kernel:
-    """Add a kernel to the registry (the new backend hook).
-
-    Args:
-        kernel: The kernel to register.
-        replace: Allow overwriting an existing registration.
-
-    Returns:
-        The registered kernel.
-    """
-    if not replace and kernel.name in _REGISTRY:
-        raise ValueError(
-            f"kernel {kernel.name!r} is already registered "
-            f"(pass replace=True to override)"
-        )
-    _REGISTRY[kernel.name] = kernel
-    return kernel
-
-
-def unregister_kernel(name: str) -> Kernel:
-    """Remove a kernel registration (mainly for tests and plugins)."""
-    try:
-        return _REGISTRY.pop(name)
-    except KeyError:
-        raise ValueError(f"kernel {name!r} is not registered") from None
-
-
-def registered_kernels() -> Tuple[str, ...]:
-    """Names of all registered kernels, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def get_kernel(name: str) -> Kernel:
-    """Look up a kernel by its ``device_exec`` name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown device_exec {name!r}; registered kernels: "
-            f"{registered_kernels()}"
-        ) from None
+#: The kernels, each with the names of its operand tables per weight group.
+KERNEL_TABLES = {
+    "exact": ("selected",),
+    "fast": ("difference", "unselected_sum"),
+    "fused": ("table", "offsets"),
+}
 
 
 def validate_device_exec(name: str) -> str:
-    """Validate a ``device_exec`` string against the registry.
+    """Return *name* if it names a kernel; raise ``ValueError`` otherwise.
 
     The one place every config surface (engine, inference config, chip
     simulator, sweep, serve) funnels through, so a typo always produces the
-    same error listing the registered kernels.
+    same error listing the kernels.
     """
-    get_kernel(name)
+    if not isinstance(name, str) or name not in KERNEL_TABLES:
+        raise ValueError(
+            f"unknown device_exec {name!r}; kernels: {tuple(KERNEL_TABLES)}"
+        )
     return name
 
 
+def kernel_tables(engine, kernel: str, key: str) -> tuple:
+    """The *kernel*'s operand tables of group *key*, in :data:`KERNEL_TABLES` order.
+
+    Built on first use from the programmed pattern and kept in the engine's
+    table cache until it is programmed again.
+    """
+    tables = engine._tables.get((kernel, key))
+    if tables is None:
+        tables = engine._tables[(kernel, key)] = _BUILD_TABLES[kernel](engine, key)
+    return tables
+
+
 # --------------------------------------------------------------------------
-# Plane-level kernels: exact / fast row reductions.
+# Plane kernels: exact / fast row reductions.
 # --------------------------------------------------------------------------
+
+
+def _exact_tables(engine, key: str) -> tuple:
+    """``stored ? on : off_selected`` per cell, (banks, R, block_rows, 4).
+
+    The selected-row contribution the legacy blocks evaluate per
+    conversion, built from (and beside) the engine's cached stored bits.
+    """
+    stored = engine.stored_bits(key)
+    group = engine.state.group(key)
+    return (stored * group.on + (1 - stored) * group.off_selected,)
 
 
 def _exact_reduce(engine, plane, key: str) -> np.ndarray:
     """Legacy expression structure, batched (bit-identical per device)."""
-    selected = engine.selected(key)
+    (selected,) = kernel_tables(engine, "exact", key)
     unselected = engine.state.group(key).unselected
     x = plane[:, None, :, :, None]
     contributions = x * selected + (1 - x) * unselected
@@ -201,7 +148,7 @@ def _difference_table(engine, key: str) -> np.ndarray:
 
     Shape (num_block_rows, block_rows, banks, 4), contiguous: entry
     ``[j, r, b, c]`` is the per-cell difference ``[b, j, r, c]``.  Every
-    element is computed with ``MacroEngine.selected``'s expression, so the
+    element is computed with the ``"exact"`` table's expression, so the
     values are identical, but neither the per-cell stored bits nor the
     selected tensor is cached: the tables built from this are the only
     per-pattern state a ``"fast"`` or ``"fused"`` engine keeps.
@@ -221,27 +168,23 @@ def _difference_table(engine, key: str) -> np.ndarray:
     return table
 
 
-def _plane_group_tables(engine, key: str) -> tuple:
-    """Cached plane-kernel operands for the stored pattern of one group.
+def _fast_tables(engine, key: str) -> tuple:
+    """The ``"fast"`` operands for the stored pattern of one group.
 
-    Returns ``(table, unselected_sum)``: ``table`` is one contiguous
-    (num_block_rows, block_rows, banks*4) stack of selected-minus-
-    unselected contributions — ``table[j]`` is the right-hand operand of
-    block row ``j`` — and ``unselected_sum`` (banks, num_block_rows, 4)
+    Returns ``(difference, unselected_sum)``: ``difference`` is one
+    contiguous (num_block_rows, block_rows, banks*4) stack of selected-minus-
+    unselected contributions — ``difference[j]`` is the right-hand operand
+    of block row ``j`` — and ``unselected_sum`` (banks, num_block_rows, 4)
     holds the unselected-row sums.  One array per group keeps the operands
     exportable as a flat kernel plan (and mappable zero-copy from a shared
     arena).
     """
-    tables = engine._plane_tables.get(key)
-    if tables is None:
-        state = engine.state
-        with _plan_build(engine, "fast", key):
-            table = _difference_table(engine, key).reshape(
-                state.num_block_rows, state.block_rows, state.banks * NUM_COLUMNS
-            )
-            tables = (table, state.group(key).unselected.sum(axis=2))
-        engine._plane_tables[key] = tables
-    return tables
+    state = engine.state
+    with _plan_build(engine, "fast", key):
+        difference = _difference_table(engine, key).reshape(
+            state.num_block_rows, state.block_rows, state.banks * NUM_COLUMNS
+        )
+        return difference, state.group(key).unselected.sum(axis=2)
 
 
 def _fast_reduce(engine, plane, key: str) -> np.ndarray:
@@ -255,8 +198,8 @@ def _fast_reduce(engine, plane, key: str) -> np.ndarray:
     through BLAS and reorders the sums.
     """
     state = engine.state
-    table, unselected_sum = _plane_group_tables(engine, key)
-    reduced = np.einsum("njr,jrk->njk", plane, table).reshape(
+    difference, unselected_sum = kernel_tables(engine, "fast", key)
+    reduced = np.einsum("njr,jrk->njk", plane, difference).reshape(
         plane.shape[0], state.num_block_rows, state.banks, NUM_COLUMNS
     )
     return unselected_sum[None] + reduced.transpose(0, 2, 1, 3)
@@ -267,34 +210,34 @@ def _fast_reduce(engine, plane, key: str) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _fused_group_tables(engine, key: str) -> tuple:
-    """Cached fused gemm operands for the stored pattern of one group.
+def _fused_tables(engine, key: str) -> tuple:
+    """The ``"fused"`` gemm operands for the stored pattern of one group.
 
     CurFe sums its four physical columns *before* the TIA, so the column
     sum commutes (to ULP accuracy) with the row reduction and is folded
-    into the table: ``D`` is (num_block_rows, block_rows, banks) and one
-    gemm per block row yields the summed difference directly — a quarter
-    of the FLOPs of a per-column gemm and an output that fits in cache.
-    ChgFe clips each bitline before charge sharing, so its four columns
-    stay separate: ``D`` is (4, num_block_rows, block_rows, banks), one
-    small gemm per column.  ``U`` carries the matching unselected-row sums.
+    into the table: ``table`` is (num_block_rows, block_rows, banks) and
+    one gemm per block row yields the summed difference directly — a
+    quarter of the FLOPs of a per-column gemm and an output that fits in
+    cache.  ChgFe clips each bitline before charge sharing, so its four
+    columns stay separate: ``table`` is (4, num_block_rows, block_rows,
+    banks), one small gemm per column.  ``offsets`` carries the matching
+    unselected-row sums.
     """
-    tables = engine._fused_tables.get(key)
-    if tables is None:
-        state = engine.state
-        with _plan_build(engine, "fused", key):
-            # (num_block_rows, block_rows, banks, 4), built uncached.
-            difference = _difference_table(engine, key)
-            unselected_sum = state.group(key).unselected.sum(axis=2)  # (banks, R, 4)
-            if state.design == CURFE_DESIGN:
-                table = difference.sum(axis=3)
-                offsets = np.ascontiguousarray(unselected_sum.sum(axis=2).T)
-            else:
-                table = np.ascontiguousarray(difference.transpose(3, 0, 1, 2))
-                offsets = np.ascontiguousarray(unselected_sum.transpose(2, 1, 0))
-        tables = (table, offsets)
-        engine._fused_tables[key] = tables
-    return tables
+    state = engine.state
+    with _plan_build(engine, "fused", key):
+        # (num_block_rows, block_rows, banks, 4), built uncached.
+        difference = _difference_table(engine, key)
+        unselected_sum = state.group(key).unselected.sum(axis=2)  # (banks, R, 4)
+        if state.design == CURFE_DESIGN:
+            table = difference.sum(axis=3)
+            offsets = np.ascontiguousarray(unselected_sum.sum(axis=2).T)
+        else:
+            table = np.ascontiguousarray(difference.transpose(3, 0, 1, 2))
+            offsets = np.ascontiguousarray(unselected_sum.transpose(2, 1, 0))
+    return table, offsets
+
+
+_BUILD_TABLES = {"exact": _exact_tables, "fast": _fast_tables, "fused": _fused_tables}
 
 
 #: Cells of the bucketed nearest-level index (see :func:`_calibrated_lut`).
@@ -439,7 +382,7 @@ def fused_block_totals(engine, values: np.ndarray, bits: int) -> np.ndarray:
         operand = stacked[:, j, :]
         for key in keys:
             group = state.group(key)
-            table, offsets = _fused_group_tables(engine, key)
+            table, offsets = kernel_tables(engine, "fused", key)
             out = macs[key]
             if curfe:
                 np.matmul(operand, table[j], out=out)
@@ -475,34 +418,3 @@ def fused_block_totals(engine, values: np.ndarray, bits: int) -> np.ndarray:
             np.multiply(per_bit[bit], float(2**bit), out=plane_scaled)
             np.add(accumulator, plane_scaled, out=accumulator)
     return np.ascontiguousarray(block_totals.transpose(1, 2, 0))
-
-
-# --------------------------------------------------------------------------
-# Built-in registrations.
-# --------------------------------------------------------------------------
-
-register_kernel(
-    Kernel(
-        name="exact",
-        level="plane",
-        description="legacy expression structure, bit-identical per device",
-        reduce_plane=_exact_reduce,
-        integer_plane=True,
-    )
-)
-register_kernel(
-    Kernel(
-        name="fast",
-        level="plane",
-        description="einsum row reduction against the cached plane table",
-        reduce_plane=_fast_reduce,
-    )
-)
-register_kernel(
-    Kernel(
-        name="fused",
-        level="layer",
-        description="whole-layer batched gemm + vectorised readout pipeline",
-        block_totals=fused_block_totals,
-    )
-)

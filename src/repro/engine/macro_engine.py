@@ -30,9 +30,8 @@ readout/ADC/combine/shift-add as in-place array ops per 32-row block — and
 is bit-identical to ``fast`` and ``exact`` (the quantiser absorbs the
 ULP-scale voltage reordering of the gemm; the golden suite asserts it).
 ``exact`` stays this class's own default as the bit-identity reference.
-Methods resolve through the pluggable registry in
-:mod:`repro.engine.kernels`; registering a new backend there makes it
-available everywhere a ``device_exec`` string is accepted.
+The three kernels live in :mod:`repro.engine.kernels`, which also builds
+each kernel's operand tables into the engine's one table cache.
 
 Tiling support
 --------------
@@ -68,7 +67,6 @@ from typing import TYPE_CHECKING, Dict, Optional
 import numpy as np
 
 from ..circuits.adc import ADCMode, CalibratedMACQuantizer, MACQuantizer
-from ..circuits.reference_bank import ReferenceBank
 from ..core.bank import build_mac_quantizer
 from ..core.inputs import InputVector
 from ..core.readout import mac_range_for_group
@@ -78,7 +76,8 @@ from ..obs.tracer import get_tracer
 from ..quant.calibration import DEFAULT_MAX_SAMPLES, reference_levels_for_plan
 from ..quant.quantize import coerce_unsigned_codes
 from .array_state import CURFE_DESIGN, NUM_COLUMNS, ArrayState
-from .kernels import Kernel, get_kernel, validate_device_exec
+from . import kernels
+from .kernels import KERNEL_TABLES, validate_device_exec
 from .readout_core import charge_share, combine_nibbles
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -86,8 +85,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 
 __all__ = ["MacroEngine"]
 
-#: Default number of input columns processed per internal chunk of
-#: :meth:`MacroEngine.matmat`; bounds the transient tensor memory without
+#: Input columns processed per internal chunk of :meth:`MacroEngine.matmat`
+#: (read at call time); bounds the transient tensor memory without
 #: affecting results (columns are independent).
 DEFAULT_BATCH_CHUNK = 256
 
@@ -100,44 +99,22 @@ _KERNEL_DISPATCHES = REGISTRY.counter(
 
 #: Memoised nominal MAC quantisers, keyed by (signed, block_rows, readout,
 #: adc_bits).  Readouts are frozen (value-hashable) dataclasses, and the
-#: default-reference-bank quantiser is a pure function of these values —
-#: every layer engine of a network, and every replica of a serving program,
-#: would otherwise rebuild identical converters.
+#: nominal quantiser is a pure function of these values — every layer
+#: engine of a network, and every replica of a serving program, would
+#: otherwise rebuild identical converters.
 _NOMINAL_QUANTIZER_CACHE: dict = {}
 
 
-def _chunk_size(batch_chunk: Optional[int]) -> int:
-    """Validated ``batch_chunk``: None means :data:`DEFAULT_BATCH_CHUNK`."""
-    if batch_chunk is None:
-        return DEFAULT_BATCH_CHUNK
-    if (
-        isinstance(batch_chunk, bool)
-        or not isinstance(batch_chunk, (int, np.integer))
-        or batch_chunk < 1
-    ):
-        raise ValueError(
-            f"batch_chunk must be None or an int >= 1, got {batch_chunk!r}"
-        )
-    return int(batch_chunk)
-
-
 def _nominal_quantizer(signed: bool, block_rows: int, readout, adc_bits: int):
-    mode = ADCMode.TWOS_COMPLEMENT if signed else ADCMode.NON_TWOS_COMPLEMENT
-    try:
-        key = (signed, block_rows, readout, adc_bits)
-        quantizer = _NOMINAL_QUANTIZER_CACHE.get(key)
-    except TypeError:
-        key = None
-        quantizer = None
+    key = (signed, block_rows, readout, adc_bits)
+    quantizer = _NOMINAL_QUANTIZER_CACHE.get(key)
     if quantizer is None:
-        quantizer = build_mac_quantizer(
+        quantizer = _NOMINAL_QUANTIZER_CACHE[key] = build_mac_quantizer(
             mac_range=mac_range_for_group(signed, block_rows),
             nominal_voltage_for_mac=readout.voltage,
             adc_bits=adc_bits,
-            mode=mode,
+            mode=ADCMode.TWOS_COMPLEMENT if signed else ADCMode.NON_TWOS_COMPLEMENT,
         )
-        if key is not None:
-            _NOMINAL_QUANTIZER_CACHE[key] = quantizer
     return quantizer
 
 
@@ -148,10 +125,6 @@ class MacroEngine:
         state: The characterised array state (see :class:`ArrayState`).
         adc_bits: SAR ADC resolution (5 in the paper).
         weight_bits: Weight precision, 4 or 8.
-        reference_bank: Optional reference-bank model used to derive the ADC
-            input ranges (defaults to a fresh
-            :class:`~repro.circuits.reference_bank.ReferenceBank`, like the
-            per-device banks do).
     """
 
     def __init__(
@@ -160,7 +133,6 @@ class MacroEngine:
         *,
         adc_bits: int = 5,
         weight_bits: int = 8,
-        reference_bank: Optional[ReferenceBank] = None,
     ) -> None:
         if weight_bits not in (4, 8):
             raise ValueError("weight_bits must be 4 or 8")
@@ -169,39 +141,20 @@ class MacroEngine:
         self.state = state
         self.adc_bits = int(adc_bits)
         self.weight_bits = int(weight_bits)
-        if reference_bank is None:
-            self._quantizers: Dict[str, MACQuantizer] = {
-                "high": _nominal_quantizer(
-                    True, state.block_rows, state.readout_high, self.adc_bits
-                )
-            }
-            if self.weight_bits == 8:
-                self._quantizers["low"] = _nominal_quantizer(
-                    False, state.block_rows, state.readout_low, self.adc_bits
-                )
-        else:
-            self._quantizers = {
-                "high": build_mac_quantizer(
-                    mac_range=mac_range_for_group(True, state.block_rows),
-                    nominal_voltage_for_mac=state.readout_high.voltage,
-                    adc_bits=self.adc_bits,
-                    mode=ADCMode.TWOS_COMPLEMENT,
-                    reference_bank=reference_bank,
-                )
-            }
-            if self.weight_bits == 8:
-                self._quantizers["low"] = build_mac_quantizer(
-                    mac_range=mac_range_for_group(False, state.block_rows),
-                    nominal_voltage_for_mac=state.readout_low.voltage,
-                    adc_bits=self.adc_bits,
-                    mode=ADCMode.NON_TWOS_COMPLEMENT,
-                    reference_bank=reference_bank,
-                )
+        self._quantizers: Dict[str, MACQuantizer] = {
+            "high": _nominal_quantizer(
+                True, state.block_rows, state.readout_high, self.adc_bits
+            )
+        }
+        if self.weight_bits == 8:
+            self._quantizers["low"] = _nominal_quantizer(
+                False, state.block_rows, state.readout_low, self.adc_bits
+            )
         self._plan: Optional[WeightPlan] = None
         self._stored: Dict[str, np.ndarray] = {}
-        self._selected: Dict[str, np.ndarray] = {}
-        self._plane_tables: Dict[str, tuple] = {}
-        self._fused_tables: Dict[str, tuple] = {}
+        #: Kernel operand tables by (kernel, group); see
+        #: :func:`~repro.engine.kernels.kernel_tables`.
+        self._tables: Dict[tuple, tuple] = {}
         self._calibrated: Dict[str, CalibratedMACQuantizer] = {}
 
     # ----------------------------------------------------------- construction
@@ -259,13 +212,11 @@ class MacroEngine:
         if plan.weights.shape != expected:
             raise ValueError(f"weights must have shape {expected}, got {plan.weights.shape}")
         self._plan = plan
-        # Derived per-pattern state is materialised lazily (stored_bits /
-        # selected / the kernel table caches) so programming is cheap and a
-        # replica stamped from a precompiled kernel plan never pays for it.
+        # Derived per-pattern state is materialised lazily (stored_bits and
+        # the kernel tables) so programming is cheap and a replica stamped
+        # from a precompiled kernel plan never pays for it.
         self._stored = {}
-        self._selected = {}
-        self._plane_tables = {}
-        self._fused_tables = {}
+        self._tables = {}
         # New stored pattern -> any workload calibration derived from the
         # previous pattern is stale; fall back to the nominal references.
         self._calibrated = {}
@@ -289,7 +240,7 @@ class MacroEngine:
     def stored_bits(self, key: str) -> np.ndarray:
         """Stored per-cell bits of one group, (banks, R, block_rows, 4).
 
-        Cached for the ``"exact"`` kernel; the table kernels build from the
+        Cached for the ``"exact"`` kernel; the other kernels build from the
         plan bits directly and keep only their tables.
         """
         bits = self._stored.get(key)
@@ -297,21 +248,6 @@ class MacroEngine:
             bits = self._group_bits(self._plan_bits(key))
             self._stored[key] = bits
         return bits
-
-    def selected(self, key: str) -> np.ndarray:
-        """Selected-row contribution of every cell for the stored pattern.
-
-        ``stored ? on : off_selected`` — the same expression the legacy
-        blocks evaluate per conversion; computed once per group on demand
-        and cached for the ``"exact"`` kernel.
-        """
-        contribution = self._selected.get(key)
-        if contribution is None:
-            stored = self.stored_bits(key)
-            group = self.state.group(key)
-            contribution = stored * group.on + (1 - stored) * group.off_selected
-            self._selected[key] = contribution
-        return contribution
 
     def program_weights(self, weights: np.ndarray) -> WeightPlan:
         """Encode and program a signed weight matrix of shape (rows, banks)."""
@@ -347,51 +283,37 @@ class MacroEngine:
         """Eagerly materialise every table the *device_exec* kernel needs.
 
         After this call the first request served by the engine runs the hot
-        path only — no lazy operand-table or LUT population.  Layer-level
-        kernels (``"fused"``) get their fused gemm tables, ``"exact"`` the
-        selected-contribution tensor, and the other plane kernels
-        (``"fast"``) the plane table; the bucketed calibrated-search LUT is
-        built for every calibrated quantiser.
+        path only — no lazy operand-table or LUT population: every group
+        gets the kernel's tables (named in
+        :data:`~repro.engine.kernels.KERNEL_TABLES`), and every calibrated
+        quantiser its bucketed calibrated-search LUT.
         """
-        from . import kernels as _kernels
-
         self._check_programmed()
-        kernel = get_kernel(device_exec)
+        validate_device_exec(device_exec)
         for key in self._group_keys():
-            if kernel.level == "layer":
-                _kernels._fused_group_tables(self, key)
-            elif device_exec == "exact":
-                self.selected(key)
-            else:
-                _kernels._plane_group_tables(self, key)
+            kernels.kernel_tables(self, device_exec, key)
         for quantizer in self._calibrated.values():
-            _kernels._calibrated_lut(quantizer)
+            kernels._calibrated_lut(quantizer)
 
     def export_kernel_plan(self, device_exec: str) -> Dict[str, np.ndarray]:
         """Precompile for *device_exec* and export the tables as flat arrays.
 
-        The returned dict maps ``{group}_{tensor}`` names to the exact
-        operand arrays the kernel computes on — suitable for packing into a
+        The returned dict maps ``{group}_{name}`` keys, over the names in
+        :data:`~repro.engine.kernels.KERNEL_TABLES`, to the exact operand
+        arrays the kernel computes on — suitable for packing into a
         :class:`~repro.engine.shm.SharedArena` and re-installing with
         :meth:`apply_kernel_plan` (zero-copy, no recompute).  The
         calibrated-search LUT is *not* exported: it keys on the quantiser
         instance and is cheap to rebuild at apply time.
         """
         self.precompile(device_exec)
-        kernel = get_kernel(device_exec)
-        plan: Dict[str, np.ndarray] = {}
-        for key in self._group_keys():
-            if kernel.level == "layer":
-                table, offsets = self._fused_tables[key]
-                plan[f"{key}_table"] = table
-                plan[f"{key}_offsets"] = offsets
-            elif device_exec == "exact":
-                plan[f"{key}_selected"] = self._selected[key]
-            else:
-                table, unselected_sum = self._plane_tables[key]
-                plan[f"{key}_difference"] = table
-                plan[f"{key}_unselected_sum"] = unselected_sum
-        return plan
+        return {
+            f"{key}_{name}": table
+            for key in self._group_keys()
+            for name, table in zip(
+                KERNEL_TABLES[device_exec], self._tables[(device_exec, key)]
+            )
+        }
 
     def apply_kernel_plan(
         self, device_exec: str, arrays: Dict[str, np.ndarray]
@@ -400,23 +322,14 @@ class MacroEngine:
 
         *arrays* may be read-only shared-memory views; they are adopted
         as-is (zero-copy).  Calibrated LUTs are rebuilt locally via
-        :meth:`precompile`, which also covers any table the plan omits.
+        :meth:`precompile`.
         """
         self._check_programmed()
-        kernel = get_kernel(device_exec)
+        names = KERNEL_TABLES[validate_device_exec(device_exec)]
         for key in self._group_keys():
-            if kernel.level == "layer":
-                self._fused_tables[key] = (
-                    arrays[f"{key}_table"],
-                    arrays[f"{key}_offsets"],
-                )
-            elif device_exec == "exact":
-                self._selected[key] = arrays[f"{key}_selected"]
-            else:
-                self._plane_tables[key] = (
-                    arrays[f"{key}_difference"],
-                    arrays[f"{key}_unselected_sum"],
-                )
+            self._tables[(device_exec, key)] = tuple(
+                arrays[f"{key}_{name}"] for name in names
+            )
         self.precompile(device_exec)
 
     # ------------------------------------------------------------ calibration
@@ -518,14 +431,14 @@ class MacroEngine:
         if self._plan is None:
             raise RuntimeError("program_weights must be called before computing MACs")
 
-    def _convert_group(self, plane, key: str, kernel: Kernel) -> np.ndarray:
+    def _convert_group(self, plane, key: str, method: str) -> np.ndarray:
         """ADC-reported partial MACs of one group type for one bit plane.
 
         Args:
             plane: Bit plane reshaped to (batch, num_block_rows, block_rows)
                 (int for the ``"exact"`` kernel, float otherwise).
             key: ``"high"`` or ``"low"``.
-            kernel: A plane-level kernel from the registry; its row
+            method: A plane kernel, ``"exact"`` or ``"fast"``; its row
                 reduction produces the per-column analog contributions and
                 the shared readout pipeline below converts them.
 
@@ -534,7 +447,10 @@ class MacroEngine:
         """
         state = self.state
         group = state.group(key)
-        columns = kernel.reduce_plane(self, plane, key)
+        if method == "exact":
+            columns = kernels._exact_reduce(self, plane, key)
+        else:
+            columns = kernels._fast_reduce(self, plane, key)
         if state.design == CURFE_DESIGN:
             summed = columns.sum(axis=-1)
             voltages = np.clip(
@@ -578,9 +494,10 @@ class MacroEngine:
         *,
         bits: int,
         method: str = "exact",
-        batch_chunk: Optional[int] = None,
     ) -> np.ndarray:
         """Batched bit-serial MAC of many input vectors at once.
+
+        The batch runs :data:`DEFAULT_BATCH_CHUNK` columns at a time.
 
         Args:
             inputs: Integer array of shape (rows, batch) — one unsigned
@@ -593,9 +510,6 @@ class MacroEngine:
                 the cached plane table, ULP-level differences in analog
                 voltage), or ``"fused"`` (layer-level batched pipeline,
                 bit-identical to ``"fast"``, fastest).
-            batch_chunk: Input columns processed per internal chunk (None
-                or an int >= 1; None means ``DEFAULT_BATCH_CHUNK``); bounds
-                transient memory without affecting results.
 
         Returns:
             Float array of shape (banks, batch): column ``j`` is the matvec
@@ -603,7 +517,7 @@ class MacroEngine:
         """
         inputs = self._validated_inputs(inputs, bits, method)
         batch = inputs.shape[1]
-        chunk = _chunk_size(batch_chunk)
+        chunk = DEFAULT_BATCH_CHUNK
         results = np.empty((self.banks, batch))
         for start in range(0, batch, chunk):
             stop = min(start + chunk, batch)
@@ -618,7 +532,6 @@ class MacroEngine:
         *,
         bits: int,
         method: str = "exact",
-        batch_chunk: Optional[int] = None,
     ) -> np.ndarray:
         """Per-block-row digital totals, before the cross-block accumulation.
 
@@ -630,15 +543,14 @@ class MacroEngine:
         Args:
             inputs: Integer array of shape (rows, batch); see :meth:`matmat`.
             bits: Input precision (1..8).
-            method: Any registered kernel (see :meth:`matmat`).
-            batch_chunk: Input columns per internal chunk (see :meth:`matmat`).
+            method: ``"exact"``, ``"fast"`` or ``"fused"`` (see :meth:`matmat`).
 
         Returns:
             Float array of shape (banks, num_block_rows, batch).
         """
         inputs = self._validated_inputs(inputs, bits, method)
         batch = inputs.shape[1]
-        chunk = _chunk_size(batch_chunk)
+        chunk = DEFAULT_BATCH_CHUNK
         results = np.empty((self.banks, self.state.num_block_rows, batch))
         for start in range(0, batch, chunk):
             stop = min(start + chunk, batch)
@@ -677,32 +589,33 @@ class MacroEngine:
         self, values: np.ndarray, bits: int, method: str
     ) -> np.ndarray:
         """Per-block-row totals of one batch chunk, shape (batch, banks, R)."""
-        kernel = get_kernel(method)
-        _KERNEL_DISPATCHES.inc(kernel=kernel.name, level=kernel.level)
+        level = "layer" if method == "fused" else "plane"
+        _KERNEL_DISPATCHES.inc(kernel=method, level=level)
         with get_tracer().span(
-            "kernel", kernel=kernel.name, level=kernel.level,
+            "kernel", kernel=method, level=level,
             bits=bits, batch=int(values.shape[1]),
         ):
-            return self._block_totals_kernel(kernel, values, bits)
+            if method == "fused":
+                # The layer kernel owns the whole pipeline for the chunk
+                # (bit-plane packing, row reduction, readout, combine,
+                # shift-add).
+                return kernels.fused_block_totals(self, values, bits)
+            return self._plane_block_totals(values, bits, method)
 
-    def _block_totals_kernel(
-        self, kernel: Kernel, values: np.ndarray, bits: int
+    def _plane_block_totals(
+        self, values: np.ndarray, bits: int, method: str
     ) -> np.ndarray:
-        if kernel.level == "layer":
-            # Layer kernels own the whole pipeline for the chunk (bit-plane
-            # packing, row reduction, readout, combine, shift-add).
-            return kernel.block_totals(self, values, bits)
         state = self.state
         batch = values.shape[1]
         num_block_rows, block_rows = state.num_block_rows, state.block_rows
         combined = np.empty((bits, batch, self.banks, num_block_rows))
         for bit in range(bits):
             plane = ((values >> bit) & 1).T.reshape(batch, num_block_rows, block_rows)
-            if not kernel.integer_plane:
+            if method != "exact":
                 plane = plane.astype(float)
-            mac_high = self._convert_group(plane, "high", kernel)
+            mac_high = self._convert_group(plane, "high", method)
             mac_low = (
-                self._convert_group(plane, "low", kernel)
+                self._convert_group(plane, "low", method)
                 if self.weight_bits == 8
                 else None
             )

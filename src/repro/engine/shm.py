@@ -44,7 +44,6 @@ from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from ..obs.metrics import REGISTRY
-from .array_state import ArrayState
 
 from multiprocessing import util as mp_util
 
@@ -62,7 +61,6 @@ __all__ = [
     "shm_available",
     "ArenaManifest",
     "SharedArena",
-    "ShmArrayState",
     "host_shared_arrays",
 ]
 
@@ -394,26 +392,6 @@ class SharedArena:
             f"SharedArena(name={self.name!r}, {role}, "
             f"{len(self._manifest.entries)} arrays, {self.size} B)"
         )
-
-
-class ShmArrayState(ArrayState):
-    """An :class:`ArrayState` whose cell tensors alias a shared arena.
-
-    Behaviour is identical to the parent — the group tensors are simply
-    read-only zero-copy views into the segment, and the state keeps a
-    reference to the arena so the mapping outlives every engine built on
-    it.
-    """
-
-    arena: Optional[SharedArena] = None
-
-    @classmethod
-    def adopt(cls, state: ArrayState, arena: Optional[SharedArena]) -> "ShmArrayState":
-        """Re-brand an assembled state as arena-backed (no array copies)."""
-        shared = cls.__new__(cls)
-        shared.__dict__.update(state.__dict__)
-        shared.arena = arena
-        return shared
 
 
 def _segment_name(tag: str) -> str:

@@ -50,10 +50,10 @@ class ServeConfig:
         input_bits: Activation precision (1..8).
         weight_bits: Weight precision (4 or 8).
         adc_bits: SAR ADC resolution.
-        device_exec: Device-backend kernel name from the
-            :mod:`repro.engine.kernels` registry; ``"fused"`` (default) runs
-            each batch through the layer-level batched kernel, and the
-            plane kernels ``"fast"`` and ``"exact"`` give bit-identical
+        device_exec: Device-backend kernel, one of the three in
+            :mod:`repro.engine.kernels`; ``"fused"`` (default) runs each
+            batch through the layer-level batched kernel, and the plane
+            kernels ``"fast"`` and ``"exact"`` give bit-identical
             predictions more slowly.
         calibration: ``"workload"`` (default) or ``"nominal"`` ADC
             reference placement, applied once at program-build time.
@@ -216,7 +216,7 @@ SERVE_SCHEMA = ConfigSchema(
         FieldSpec("adc_bits", 5, doc="SAR ADC resolution (required concrete)"),
         FieldSpec("device_exec", DEFAULT_DEVICE_EXEC,
                   validate=validate_device_exec,
-                  doc="device-backend kernel from the engine registry"),
+                  doc="device-backend kernel: exact, fast or fused"),
         FieldSpec("calibration", "workload", choices=CALIBRATION_MODES,
                   doc="ADC reference placement at program-build time"),
         FieldSpec("seed", 0, doc="programming-variation seed (all replicas)"),

@@ -119,7 +119,6 @@ class ChipProgram:
         model_arrays: Float weights / biases per weight layer.
         layer_arrays: Characterised cell tensors per weight layer (device
             backend; None for functional programs).
-        layer_dims: ``(padded_rows, banks)`` of every weight layer's state.
         calibration_levels: Calibrated ADC reference levels per layer
             (device backend; empty under nominal calibration).
         activation_scales: Frozen per-layer activation scales.
@@ -142,7 +141,6 @@ class ChipProgram:
     input_shape: Tuple[int, ...]
     model_arrays: Dict[str, Dict[str, np.ndarray]]
     layer_arrays: Optional[Dict[str, Dict[str, np.ndarray]]]
-    layer_dims: Dict[str, Tuple[int, int]]
     calibration_levels: Dict[str, Dict[str, np.ndarray]]
     activation_scales: Dict[str, float]
     calibration_images: np.ndarray
@@ -220,9 +218,6 @@ class ChipProgram:
             layer_arrays = {
                 layer: arrays_from_state(state) for layer, state in states.items()
             }
-            layer_dims = {
-                layer: (state.rows, state.banks) for layer, state in states.items()
-            }
             kernel_plans = engine.export_kernel_plans()
             chip_latency = float(report.performance.total_latency)
             chip_energy = float(report.performance.total_energy)
@@ -231,7 +226,6 @@ class ChipProgram:
             scales = engine.freeze_activation_scales(calibration_images)
             levels = {}
             layer_arrays = None
-            layer_dims = {}
             kernel_plans = {}
             if config.adc_bits is None:
                 raise ValueError(
@@ -262,7 +256,6 @@ class ChipProgram:
             input_shape=tuple(model.input_shape),
             model_arrays=model_arrays,
             layer_arrays=layer_arrays,
-            layer_dims=layer_dims,
             calibration_levels=levels,
             activation_scales=scales,
             calibration_images=calibration_images,
@@ -307,14 +300,7 @@ class ChipProgram:
             if config.backend == "device":
                 assert self.layer_arrays is not None
                 layer_states = {
-                    layer: restore_state(
-                        config.design,
-                        rows=self.layer_dims[layer][0],
-                        banks=self.layer_dims[layer][1],
-                        block_rows=config.geometry.block_rows,
-                        weight_bits=config.weight_bits,
-                        arrays=arrays,
-                    )
+                    layer: restore_state(config.design, arrays)
                     for layer, arrays in self.layer_arrays.items()
                 }
                 simulator = ChipSimulator(
@@ -393,10 +379,6 @@ class ChipProgram:
             "name": self.name,
             "config": self.config,
             "input_shape": [int(dim) for dim in self.input_shape],
-            "layer_dims": {
-                layer: [int(rows), int(banks)]
-                for layer, (rows, banks) in self.layer_dims.items()
-            },
             "activation_scales": {
                 layer: float(scale)
                 for layer, scale in self.activation_scales.items()
@@ -447,10 +429,6 @@ class ChipProgram:
             input_shape=tuple(meta["input_shape"]),
             model_arrays=sections["model"],
             layer_arrays=sections["state"] if meta["has_layer_arrays"] else None,
-            layer_dims={
-                layer: (rows, banks)
-                for layer, (rows, banks) in meta["layer_dims"].items()
-            },
             calibration_levels=sections["levels"],
             activation_scales=meta["activation_scales"],
             calibration_images=calibration_images,

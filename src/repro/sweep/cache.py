@@ -150,7 +150,8 @@ def arrays_from_state(state: ArrayState) -> Dict[str, np.ndarray]:
     Everything else in an :class:`ArrayState` (readout transfer objects,
     cell parameters, TIA constants) is deterministic given the design and
     dimensions, so :func:`restore_state` rebuilds it from a cheap
-    variation-free construction instead of serialising object graphs.
+    variation-free construction instead of serialising object graphs; the
+    dimensions themselves are the shape of the ``{group}_on`` tensors.
     """
     arrays: Dict[str, np.ndarray] = {}
     for key in ("high", "low"):
@@ -163,27 +164,20 @@ def arrays_from_state(state: ArrayState) -> Dict[str, np.ndarray]:
     return arrays
 
 
-def restore_state(
-    design: str,
-    *,
-    rows: int,
-    banks: int,
-    block_rows: int,
-    weight_bits: int,
-    arrays: Mapping[str, np.ndarray],
-) -> ArrayState:
+def restore_state(design: str, arrays: Mapping[str, np.ndarray]) -> ArrayState:
     """Rebuild a full :class:`ArrayState` from cached tensors.
 
-    A variation-free build supplies every deterministic piece (readouts,
-    cell parameters, feedback resistance, clamp voltages) without consuming
-    any random draws; the cached variation-dependent tensors then replace
-    the broadcast placeholders.
+    The dimensions come from the (banks, num_block_rows, block_rows, 4)
+    ``high_on`` tensor.  A variation-free build supplies every deterministic
+    piece (readouts, cell parameters, feedback resistance, clamp voltages)
+    without consuming any random draws; the cached variation-dependent
+    tensors then replace the broadcast placeholders.
     """
+    banks, num_block_rows, block_rows, _ = np.shape(arrays["high_on"])
     config = IMCMacroConfig(
-        rows=rows,
+        rows=num_block_rows * block_rows,
         banks=banks,
         block_rows=block_rows,
-        weight_bits=weight_bits,
         variation=NO_VARIATION,
     )
     state = ArrayState.build(design, config)

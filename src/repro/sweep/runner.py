@@ -98,16 +98,6 @@ def _model_weights_digest(model) -> str:
     )
 
 
-def _padded_layer_dims(model, config: InferenceConfig) -> Dict[str, Tuple[int, int]]:
-    """(padded_rows, cols) of every weight layer on the configured geometry."""
-    block = config.geometry.block_rows
-    dims = {}
-    for name, layer in model.weight_layers().items():
-        rows, cols = layer.weight.shape
-        dims[name] = (-(-rows // block) * block, cols)
-    return dims
-
-
 def _restore_layer_states(
     layered: Mapping[str, Mapping[str, np.ndarray]],
     model,
@@ -118,21 +108,12 @@ def _restore_layer_states(
     Returns None when the entry does not cover every weight layer (a stale
     or foreign entry) — the caller then falls back to a cold build.
     """
-    dims = _padded_layer_dims(model, config)
-    if set(layered) != set(dims):
+    if set(layered) != set(model.weight_layers()):
         return None
-    states = {}
-    for name, arrays in layered.items():
-        rows, cols = dims[name]
-        states[name] = restore_state(
-            config.design,
-            rows=rows,
-            banks=cols,
-            block_rows=config.geometry.block_rows,
-            weight_bits=config.weight_bits,
-            arrays=arrays,
-        )
-    return states
+    return {
+        name: restore_state(config.design, arrays)
+        for name, arrays in layered.items()
+    }
 
 
 def _performance_payload(perf: SystemPerformanceResult) -> Dict[str, Any]:

@@ -103,8 +103,8 @@ class SweepSpec:
         precisions: ``(input_bits, weight_bits)`` pairs.
         adc_bits: ADC resolutions.
         calibrations: ``"workload"`` / ``"nominal"`` axis (inference only).
-        device_execs: Engine kernel names (device only), validated against
-            the :mod:`repro.engine.kernels` registry — ``"fused"`` (default),
+        device_execs: Engine kernel names (device only), each one of the
+            three in :mod:`repro.engine.kernels` — ``"fused"`` (default),
             ``"fast"``, ``"exact"``.
         images: Images per job.
         batch_size: Inference batch size.
@@ -304,7 +304,7 @@ SWEEP_SCHEMA = ConfigSchema(
                   doc="ADC calibration-mode axis (inference backends)"),
         FieldSpec("device_execs", (DEFAULT_DEVICE_EXEC,), to_payload=list,
                   from_payload=_axis,
-                  doc="device-kernel axis from the engine registry"),
+                  doc="device-kernel axis: exact, fast and/or fused"),
         FieldSpec("images", 8, doc="workload images per job"),
         FieldSpec("batch_size", 128, doc="inference batch size"),
         FieldSpec("seed", 0, doc="master seed (programming + data seeds)"),

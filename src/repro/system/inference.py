@@ -79,10 +79,10 @@ class InferenceConfig:
         backend: ``"functional"`` (statistical, fastest) or ``"device"``
             (per-cell device-detailed engine; requires a concrete design and
             an ADC resolution).
-        device_exec: Execution kernel of the device backend, resolved
-            against the :mod:`repro.engine.kernels` registry: ``"fused"``
-            (default; layer-level batched kernel, fastest), or the plane
-            kernels ``"exact"`` and ``"fast"`` (bit-identical to it).
+        device_exec: Execution kernel of the device backend, one of the
+            three in :mod:`repro.engine.kernels`: ``"fused"`` (default;
+            layer-level batched kernel, fastest), or the plane kernels
+            ``"exact"`` and ``"fast"`` (bit-identical to it).
         input_bits: Activation precision (unsigned, 1..8).
         weight_bits: Weight precision (signed, 4 or 8).
         adc_bits: ADC resolution; None disables ADC quantisation
@@ -199,7 +199,7 @@ INFERENCE_SCHEMA = ConfigSchema(
                   doc="layer-matmul execution backend"),
         FieldSpec("device_exec", DEFAULT_DEVICE_EXEC,
                   validate=validate_device_exec,
-                  doc="device-backend kernel from the engine registry"),
+                  doc="device-backend kernel: exact, fast or fused"),
         FieldSpec("input_bits", 4, doc="activation precision (unsigned)"),
         FieldSpec("weight_bits", 8, doc="weight precision (signed)"),
         FieldSpec("adc_bits", 5,

@@ -63,14 +63,7 @@ def test_serialised_state_round_trip_is_bit_identical(
     # restore into fresh ArrayStates, inject into a new simulator
     config = cold_simulator.config
     restored = {
-        name: restore_state(
-            config.design,
-            rows=state.rows,
-            banks=state.banks,
-            block_rows=config.geometry.block_rows,
-            weight_bits=config.weight_bits,
-            arrays=arrays_from_state(state),
-        )
+        name: restore_state(config.design, arrays_from_state(state))
         for name, state in cold_simulator.inference.layer_array_states().items()
     }
     warm = ChipSimulator(

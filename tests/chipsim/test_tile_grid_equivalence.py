@@ -6,7 +6,8 @@ fans plane kernels out over column slices of the batch on a thread pool.
 The contract pinned here: for any layer shape (partial row and column tiles
 included), both designs, both weight precisions, every input precision, the
 ``exact`` and ``fast`` kernels, nominal or calibrated references, and any
-``batch_chunk`` (so any slice width), the layer is ``array_equal`` to a
+engine chunk (``macro_engine.DEFAULT_BATCH_CHUNK``, so any slice width), the
+layer is ``array_equal`` to a
 single :class:`~repro.engine.MacroEngine` built independently on the same
 state, holding the zero-padded weights and inputs.  Device variation is on,
 so a slice that read the wrong columns would change the result.
@@ -31,6 +32,7 @@ from repro.chipsim.scenarios import get_scenario
 from repro.chipsim.tiling import TiledLayerEngine
 from repro.core.macro import IMCMacroConfig
 from repro.devices.variation import DEFAULT_VARIATION
+from repro.engine import macro_engine
 from repro.engine.array_state import ArrayState
 from repro.engine.macro_engine import _KERNEL_DISPATCHES, MacroEngine
 from repro.quant.quantize import signed_range
@@ -119,12 +121,12 @@ def record_slices(tiled):
     bits=st.integers(min_value=1, max_value=8),
     method=st.sampled_from(["exact", "fast"]),
     calibrated=st.booleans(),
-    batch_chunk=st.sampled_from([1, 2, 3, None]),
+    chunk=st.sampled_from([1, 2, 3, 256]),  # 256 is the default
     batch=st.sampled_from(range(8, 0, -1)),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_pooled_column_slices_equal_one_padded_macro(
-    rows, cols, design, weight_bits, bits, method, calibrated, batch_chunk,
+    rows, cols, design, weight_bits, bits, method, calibrated, chunk,
     batch, seed,
 ):
     rng = np.random.default_rng(seed)
@@ -146,9 +148,11 @@ def test_pooled_column_slices_equal_one_padded_macro(
 
     widths = record_slices(tiled)
     inputs = rng.integers(0, 2**bits, size=(rows, batch))
-    with mock.patch.object(os, "cpu_count", return_value=2):
-        got = tiled.matmat(inputs, bits=bits, method=method, batch_chunk=batch_chunk)
-    width = slice_width(cols, tiled.total_blocks, batch_chunk or 256)
+    with mock.patch.object(os, "cpu_count", return_value=2), mock.patch.object(
+        macro_engine, "DEFAULT_BATCH_CHUNK", chunk
+    ):
+        got = tiled.matmat(inputs, bits=bits, method=method)
+    width = slice_width(cols, tiled.total_blocks, chunk)
     assert widths == [min(width, batch - start) for start in range(0, batch, width)]
     event(f"slices >= 2: {len(widths) >= 2}")
     target(float(len(widths)), label="slices")
@@ -185,13 +189,13 @@ def test_more_slice_threads_than_cores_lose_no_slice():
     sys.setswitchinterval(1e-6)
     out = {}
     caller = threading.Thread(
-        target=lambda: out.update(
-            got=tiled.matmat(inputs, bits=4, method="fast", batch_chunk=1)
-        ),
+        target=lambda: out.update(got=tiled.matmat(inputs, bits=4, method="fast")),
         daemon=True,
     )
     try:
-        with mock.patch.object(os, "cpu_count", return_value=8):
+        with mock.patch.object(os, "cpu_count", return_value=8), mock.patch.object(
+            macro_engine, "DEFAULT_BATCH_CHUNK", 1
+        ):
             caller.start()
             caller.join(timeout=120)
     finally:

@@ -6,7 +6,7 @@ import pytest
 from repro.core.inputs import InputVector
 from repro.core.macro import ChgFeMacro, CurFeMacro, IMCMacroConfig
 from repro.devices.variation import DEFAULT_VARIATION, NO_VARIATION
-from repro.engine import ArrayState, MacroEngine
+from repro.engine import ArrayState, MacroEngine, macro_engine
 from repro.engine.readout_core import (
     adc_raw_codes,
     combine_nibbles,
@@ -140,44 +140,58 @@ class TestMacroEngineAPI:
 
 
 class TestBatchChunk:
-    """``batch_chunk`` is None or an int >= 1; anything else raises instead
-    of skipping the chunk loop (negative) or meaning the default (0)."""
+    """The engine's column chunk (``DEFAULT_BATCH_CHUNK``) bounds memory
+    without changing results."""
 
-    @pytest.mark.parametrize("bad", [0, -2, 1.5, True, "4"])
-    def test_invalid_chunk_rejected(self, bad):
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 64])
+    def test_chunks_do_not_change_results(self, chunk, monkeypatch):
         engine, _, rng = programmed_engine()
         inputs = rng.integers(0, 16, size=(32, 5))
-        with pytest.raises(ValueError, match="batch_chunk"):
-            engine.matmat(inputs, bits=4, method="fast", batch_chunk=bad)
-        with pytest.raises(ValueError, match="batch_chunk"):
-            engine.matmat_blocks(inputs, bits=4, method="fast", batch_chunk=bad)
+        whole = engine.matmat(inputs, bits=4, method="fast")
+        blocks = engine.matmat_blocks(inputs, bits=4, method="fast")
+        monkeypatch.setattr(macro_engine, "DEFAULT_BATCH_CHUNK", chunk)
+        dispatches = macro_engine._KERNEL_DISPATCHES.value(kernel="fast", level="plane")
+        assert np.array_equal(engine.matmat(inputs, bits=4, method="fast"), whole)
+        assert np.array_equal(
+            engine.matmat_blocks(inputs, bits=4, method="fast"), blocks
+        )
+        # One kernel dispatch per chunk, in each of the two calls.
+        assert macro_engine._KERNEL_DISPATCHES.value(
+            kernel="fast", level="plane"
+        ) == dispatches + 2 * -(-5 // chunk)
 
-    @pytest.mark.parametrize("method", ["fast", "fused"])
-    def test_tiled_engine_passes_it_through(self, method):
+    @pytest.mark.parametrize("method", ["exact", "fast", "fused"])
+    def test_tiled_engine_reads_the_constant_at_call_time(self, method, monkeypatch):
+        """One patch of the constant reaches the layer engine too: the fused
+        kernel's chunk loop and the plane kernels' column slices."""
         from repro.chipsim.tiling import TiledLayerEngine
 
         rng = np.random.default_rng(4)
         tiled = TiledLayerEngine(
-            rng.integers(-128, 128, size=(200, 20)), design="curfe",
-            variation=NO_VARIATION,
+            rng.integers(-128, 128, size=(40, 6)), design="curfe",
+            variation=DEFAULT_VARIATION, seed=4,
         )
-        inputs = rng.integers(0, 16, size=(200, 5))
-        for bad in (0, -2):
-            with pytest.raises(ValueError, match="batch_chunk"):
-                tiled.matmat(inputs, bits=4, method=method, batch_chunk=bad)
+        inputs = rng.integers(0, 16, size=(40, 5))
+        whole = tiled.matmat(inputs, bits=4, method=method)
+        level = "layer" if method == "fused" else "plane"
+        widths = []
+        engine_matmat = tiled.engine.matmat
 
-    @pytest.mark.parametrize("chunk", [1, 2, np.int64(3), 5, 64])
-    def test_valid_chunks_do_not_change_results(self, chunk):
-        engine, _, rng = programmed_engine()
-        inputs = rng.integers(0, 16, size=(32, 5))
-        assert np.array_equal(
-            engine.matmat(inputs, bits=4, method="fast", batch_chunk=chunk),
-            engine.matmat(inputs, bits=4, method="fast"),
-        )
-        assert np.array_equal(
-            engine.matmat_blocks(inputs, bits=4, method="fast", batch_chunk=chunk),
-            engine.matmat_blocks(inputs, bits=4, method="fast"),
-        )
+        def recorded(columns, **kwargs):
+            widths.append(columns.shape[1])
+            return engine_matmat(columns, **kwargs)
+
+        monkeypatch.setattr(tiled.engine, "matmat", recorded)
+        monkeypatch.setattr(macro_engine, "DEFAULT_BATCH_CHUNK", 2)
+        dispatches = macro_engine._KERNEL_DISPATCHES.value(kernel=method, level=level)
+        assert np.array_equal(tiled.matmat(inputs, bits=4, method=method), whole)
+        # The fused kernel takes the whole batch and chunks it itself; the
+        # plane kernels get one slice per chunk.
+        assert sorted(widths) == ([5] if method == "fused" else [1, 2, 2])
+        # Columns 0-1, 2-3 and 4: one kernel dispatch each.
+        assert macro_engine._KERNEL_DISPATCHES.value(
+            kernel=method, level=level
+        ) == dispatches + 3
 
 
 class TestSeedSemantics:

@@ -14,7 +14,7 @@ import pytest
 from repro.core.inputs import InputVector
 from repro.core.macro import ChgFeMacro, CurFeMacro, IMCMacroConfig
 from repro.devices.variation import DEFAULT_VARIATION, NO_VARIATION, VariationModel
-from repro.engine import ArrayState, MacroEngine
+from repro.engine import ArrayState, MacroEngine, macro_engine
 
 MACRO_CLASSES = {"curfe": CurFeMacro, "chgfe": ChgFeMacro}
 
@@ -94,14 +94,15 @@ class TestGoldenEquivalence:
             vector = InputVector(values=batch[:, column], bits=4)
             assert np.array_equal(result[:, column], macro.matvec(vector)), column
 
-    def test_matmat_chunking_is_exact(self, design):
+    def test_matmat_chunking_is_exact(self, design, monkeypatch):
         config = make_config(8, NO_VARIATION)
         macro = MACRO_CLASSES[design](config)
         rng = np.random.default_rng(13)
         macro.program_weights(random_weights(rng, config))
         batch = rng.integers(0, 16, size=(config.rows, 9))
         whole = macro.engine.matmat(batch, bits=4)
-        chunked = macro.engine.matmat(batch, bits=4, batch_chunk=2)
+        monkeypatch.setattr(macro_engine, "DEFAULT_BATCH_CHUNK", 2)
+        chunked = macro.engine.matmat(batch, bits=4)
         assert np.array_equal(whole, chunked)
 
     def test_fast_method_is_close(self, design, weight_bits, variation):

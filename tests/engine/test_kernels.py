@@ -1,10 +1,10 @@
-"""The kernel-dispatch registry: one validation point, pluggable backends.
+"""The three fixed kernels: one validation point, one table cache.
 
-Covers the registry API (lookup, registration, replacement, the ValueError
-that lists registered kernels on a typo), dispatch of a custom plane
-kernel through ``MacroEngine.matmat``, the bucketed-LUT calibrated search
-(exact ``searchsorted`` equality, the property the fused kernel's
-calibrated bit-identity rests on).
+Covers ``device_exec`` validation (the ValueError that lists the kernels
+on a typo, at every config surface), the one default, the bucketed-LUT
+calibrated search (exact ``searchsorted`` equality, the property the fused
+kernel's calibrated bit-identity rests on), and the kernel-table cache:
+precompile, invalidation and the exported-plan round trip.
 """
 
 import inspect
@@ -21,14 +21,11 @@ from repro.engine import kernels
 from repro.engine.array_state import ArrayState
 from repro.engine.kernels import (
     DEFAULT_DEVICE_EXEC,
-    Kernel,
-    get_kernel,
-    register_kernel,
-    registered_kernels,
-    unregister_kernel,
+    KERNEL_TABLES,
     validate_device_exec,
 )
-from repro.engine.macro_engine import MacroEngine
+from repro.engine.macro_engine import _KERNEL_DISPATCHES, MacroEngine
+from repro.obs.tracer import Tracer, set_tracer
 from repro.serve import SERVE_SCHEMA, ServeConfig
 from repro.sweep.spec import SWEEP_SCHEMA, SweepSpec
 from repro.system.inference import INFERENCE_SCHEMA, InferenceConfig
@@ -45,11 +42,17 @@ def build_engine(weights, *, design="curfe", seed=0):
     return engine
 
 
-class TestRegistry:
-    def test_builtin_kernels_registered(self):
-        assert registered_kernels() == ("exact", "fast", "fused")
-        with pytest.raises(ValueError, match="registered kernels"):
-            get_kernel("turbo")
+class TestValidation:
+    def test_three_kernels(self):
+        # The table names are the keys of exported kernel plans, which
+        # serving programs and shared-memory arenas carry.
+        assert KERNEL_TABLES == {
+            "exact": ("selected",),
+            "fast": ("difference", "unselected_sum"),
+            "fused": ("table", "offsets"),
+        }
+        with pytest.raises(ValueError, match="unknown device_exec"):
+            validate_device_exec("turbo")
 
     @pytest.mark.parametrize(
         "config_cls, fields",
@@ -66,51 +69,69 @@ class TestRegistry:
         """A config written for the deleted ``turbo`` kernel fails where it
         enters, built directly or loaded from a document, and the error
         names the kernels that remain."""
-        with pytest.raises(ValueError, match="registered kernels"):
+        with pytest.raises(ValueError, match="unknown device_exec"):
             config_cls(**fields)
-        with pytest.raises(ValueError, match="registered kernels"):
+        with pytest.raises(ValueError, match="unknown device_exec"):
             config_cls.from_dict(fields)
 
-    def test_get_kernel_levels(self):
-        assert get_kernel("exact").level == "plane"
-        assert get_kernel("fast").level == "plane"
-        assert get_kernel("fused").level == "layer"
+    @pytest.mark.parametrize(
+        "surface",
+        [
+            "matmat", "matmat_blocks", "precompile", "export_kernel_plan",
+            "apply_kernel_plan", "tiled_matmat", "chip_simulator",
+        ],
+    )
+    def test_engine_surfaces_refuse_unknown_kernels(self, surface):
+        """Every engine entry point that takes a kernel name refuses one
+        outside the three with the same error, before it builds a table."""
+        rng = np.random.default_rng(6)
+        weights = rng.integers(-128, 128, size=(64, 4))
+        engine = build_engine(weights)
+        tiled = TiledLayerEngine(weights, design="curfe", variation=NO_VARIATION)
+        inputs = rng.integers(0, 16, size=(64, 3))
+        calls = {
+            "matmat": lambda: engine.matmat(inputs, bits=4, method="turbo"),
+            "matmat_blocks": lambda: engine.matmat_blocks(
+                inputs, bits=4, method="turbo"
+            ),
+            "precompile": lambda: engine.precompile("turbo"),
+            "export_kernel_plan": lambda: engine.export_kernel_plan("turbo"),
+            "apply_kernel_plan": lambda: engine.apply_kernel_plan("turbo", {}),
+            "tiled_matmat": lambda: tiled.matmat(inputs, bits=4, method="turbo"),
+            "chip_simulator": lambda: ChipSimulator(
+                get_scenario("tiny_mlp").build(seed=0), device_exec="turbo"
+            ),
+        }
+        with pytest.raises(ValueError, match="unknown device_exec") as excinfo:
+            calls[surface]()
+        for name in ("exact", "fast", "fused"):
+            assert name in str(excinfo.value)
+        assert not engine._tables
+        assert not tiled.engine._tables
 
-    def test_unknown_kernel_lists_registered_names(self):
+    def test_unknown_kernel_lists_the_kernels(self):
         with pytest.raises(ValueError) as excinfo:
-            get_kernel("tubro")
+            validate_device_exec("tubro")
         message = str(excinfo.value)
         assert "tubro" in message
-        for name in registered_kernels():
+        for name in ("exact", "fast", "fused"):
             assert name in message
+
+    @pytest.mark.parametrize("value", [["fast"], {"fast": 1}, 3])
+    def test_non_string_names_are_refused(self, value):
+        """A config document's list or mapping is refused with the same
+        error as a misspelt name, not a TypeError."""
+        with pytest.raises(ValueError, match="unknown device_exec"):
+            InferenceConfig.from_dict({"backend": "device", "device_exec": value})
 
     def test_validate_device_exec_round_trips(self):
         assert validate_device_exec("fused") == "fused"
-        with pytest.raises(ValueError, match="registered kernels"):
+        with pytest.raises(ValueError, match="unknown device_exec"):
             validate_device_exec("nope")
 
-    def test_inference_config_validates_through_registry(self):
-        with pytest.raises(ValueError, match="registered kernels"):
+    def test_inference_config_validates_the_kernel(self):
+        with pytest.raises(ValueError, match="unknown device_exec"):
             InferenceConfig(backend="device", device_exec="trubo")
-
-    def test_duplicate_registration_requires_replace(self):
-        kernel = get_kernel("fast")
-        with pytest.raises(ValueError, match="already registered"):
-            register_kernel(kernel)
-        assert register_kernel(kernel, replace=True) is kernel
-
-    def test_unregister_unknown_raises(self):
-        with pytest.raises(ValueError, match="not registered"):
-            unregister_kernel("missing")
-
-    def test_kernel_shape_validation(self):
-        with pytest.raises(ValueError, match="plane kernel"):
-            Kernel(name="bad", level="plane", description="no fn")
-        with pytest.raises(ValueError, match="layer kernel"):
-            Kernel(name="bad", level="layer", description="no fn")
-        with pytest.raises(ValueError, match="level"):
-            Kernel(name="bad", level="block", description="x",
-                   reduce_plane=lambda *a: None)
 
 
 class TestDefaultKernel:
@@ -137,30 +158,31 @@ class TestDefaultKernel:
         assert matmat.parameters["method"].default == DEFAULT_DEVICE_EXEC
 
 
-class TestCustomKernelDispatch:
-    def test_registered_plane_kernel_is_dispatched(self):
-        """A plugged-in kernel reusing the fast reduction must produce
-        fast-identical output through the standard matmat entry point."""
-        fast = get_kernel("fast")
-        custom = Kernel(
-            name="fast_alias", level="plane",
-            description="test alias of fast",
-            reduce_plane=fast.reduce_plane,
+class TestDispatchLabels:
+    @pytest.mark.parametrize(
+        "device_exec, level",
+        [("exact", "plane"), ("fast", "plane"), ("fused", "layer")],
+    )
+    def test_spans_and_counter_name_kernel_and_level(self, device_exec, level):
+        rng = np.random.default_rng(5)
+        tiled = TiledLayerEngine(
+            rng.integers(-128, 128, size=(40, 6)), design="curfe",
+            variation=NO_VARIATION,
         )
-        register_kernel(custom)
+        before = _KERNEL_DISPATCHES.value(kernel=device_exec, level=level)
+        tracer = Tracer()
+        previous = set_tracer(tracer)
         try:
-            rng = np.random.default_rng(21)
-            weights = rng.integers(-128, 128, size=(64, 8))
-            engine = build_engine(weights)
-            inputs = rng.integers(0, 16, size=(64, 5))
-            assert np.array_equal(
-                engine.matmat(inputs, bits=4, method="fast_alias"),
-                engine.matmat(inputs, bits=4, method="fast"),
-            )
+            tiled.matmat(rng.integers(0, 16, size=(40, 3)), bits=4, method=device_exec)
         finally:
-            unregister_kernel("fast_alias")
-        with pytest.raises(ValueError, match="registered kernels"):
-            engine.matmat(inputs, bits=4, method="fast_alias")
+            set_tracer(previous)
+        assert _KERNEL_DISPATCHES.value(kernel=device_exec, level=level) == before + 1
+        spans = [s for s in tracer.spans() if s["name"] in ("tiled_layer", "kernel")]
+        assert sorted(s["name"] for s in spans) == ["kernel", "tiled_layer"]
+        for span in spans:
+            assert (span["attrs"]["kernel"], span["attrs"]["level"]) == (
+                device_exec, level
+            )
 
 
 class TestCalibratedLut:
@@ -231,11 +253,13 @@ class TestPrecompiledPlanInvalidation:
 
     def test_precompile_materialises_all_tables(self):
         engine, _, _ = self._calibrated_engine()
-        assert not engine._plane_tables and not engine._fused_tables
+        assert not engine._tables
         engine.precompile("fast")
-        assert set(engine._plane_tables) == set(engine._group_keys())
+        assert set(engine._tables) == {("fast", key) for key in ("high", "low")}
         engine.precompile("fused")
-        assert set(engine._fused_tables) == set(engine._group_keys())
+        assert set(engine._tables) == {
+            (kernel, key) for kernel in ("fast", "fused") for key in ("high", "low")
+        }
         for quantizer in engine._calibrated.values():
             assert kernels._LUT_ATTR in quantizer.__dict__
 
@@ -245,8 +269,7 @@ class TestPrecompiledPlanInvalidation:
         engine.precompile("fused")
         new_weights = rng.integers(-128, 128, size=(64, 8))
         engine.program_weights(new_weights)
-        assert not engine._plane_tables
-        assert not engine._fused_tables
+        assert not engine._tables
         assert not engine._calibrated
         # And the invalidated engine computes exactly what a never-
         # precompiled engine programmed with the new weights computes.
@@ -294,6 +317,11 @@ class TestPrecompiledPlanInvalidation:
     def test_kernel_plan_round_trip_is_bit_identical(self, device_exec):
         engine, weights, rng = self._calibrated_engine()
         plan = engine.export_kernel_plan(device_exec)
+        assert list(plan) == [
+            f"{group}_{name}"
+            for group in ("high", "low")
+            for name in KERNEL_TABLES[device_exec]
+        ]
         # Emulate shared-memory transport: the applied arrays are
         # read-only foreign buffers, adopted without copies.
         frozen = {}
@@ -304,6 +332,9 @@ class TestPrecompiledPlanInvalidation:
         target = build_engine(weights)
         target.apply_reference_levels(engine.reference_levels)
         target.apply_kernel_plan(device_exec, frozen)
+        # Adopted as-is: the target computes on the very arrays it was given.
+        reexported = target.export_kernel_plan(device_exec)
+        assert all(reexported[key] is frozen[key] for key in frozen)
         inputs = rng.integers(0, 16, size=(64, 5))
         assert np.array_equal(
             target.matmat(inputs, bits=4, method=device_exec),

@@ -98,7 +98,7 @@ class TestPlaneTableOracles:
                 kernels._fast_reduce(engine, plane, key),
                 oracle_fast_reduce(engine, plane, key),
             ), key
-            table, _ = kernels._plane_group_tables(engine, key)
+            table, _ = kernels.kernel_tables(engine, "fast", key)
             assert table.flags.c_contiguous
 
     @settings(max_examples=30, deadline=None)
@@ -106,7 +106,7 @@ class TestPlaneTableOracles:
     def test_fused_tables_equal_per_cell_oracle(self, case):
         engine, _ = case
         for key in engine._group_keys():
-            table, offsets = kernels._fused_group_tables(engine, key)
+            table, offsets = kernels.kernel_tables(engine, "fused", key)
             expected_table, expected_offsets = oracle_fused_tables(engine, key)
             assert table.flags.c_contiguous and offsets.flags.c_contiguous
             assert np.array_equal(table, expected_table), key
@@ -135,7 +135,7 @@ class TestTableBuildsKeepNoPerCellTensors:
         engine, inputs = small_engine(design)
         engine.matmat(inputs, bits=4, method=device_exec)
         engine.export_kernel_plan(device_exec)
-        assert not engine._selected
+        assert set(engine._tables) == {(device_exec, "high"), (device_exec, "low")}
         assert not engine._stored
         assert "high_bits" not in engine.weight_plan.__dict__
         assert "low_bits" not in engine.weight_plan.__dict__
@@ -143,7 +143,7 @@ class TestTableBuildsKeepNoPerCellTensors:
     def test_exact_still_caches_them(self):
         engine, inputs = small_engine()
         engine.matmat(inputs, bits=4, method="exact")
-        assert set(engine._selected) == set(engine._group_keys())
+        assert set(engine._tables) == {("exact", "high"), ("exact", "low")}
         assert set(engine._stored) == set(engine._group_keys())
 
 

@@ -17,7 +17,6 @@ from repro.engine import shm as shm_module
 from repro.engine.shm import (
     ArenaManifest,
     SharedArena,
-    ShmArrayState,
     host_shared_arrays,
     shm_available,
 )
@@ -147,24 +146,6 @@ class TestLifecycle:
         finally:
             raw.close()
             raw.unlink()
-
-
-class TestShmArrayState:
-    def test_adopt_preserves_arena_binding(self):
-        from repro.core.macro import IMCMacroConfig
-        from repro.engine.array_state import ArrayState
-
-        config = IMCMacroConfig(rows=64, banks=4, block_rows=32, weight_bits=8)
-        state = ArrayState.build("curfe", config)
-        arrays = {
-            "high_on": state.group("high").on,
-            "low_on": state.group("low").on,
-        }
-        with SharedArena.create(arrays) as arena:
-            shared = ShmArrayState.adopt(state, arena)
-            assert isinstance(shared, ShmArrayState)
-            assert shared.arena is arena
-            assert shared.banks == state.banks
 
 
 class TestHostSharedArrays:

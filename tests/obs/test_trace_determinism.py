@@ -278,7 +278,7 @@ class TestDisabledOverhead:
             weights, design="curfe", variation=NO_VARIATION, seed=9
         )
         inputs = rng.integers(0, 16, size=(1152, 64))
-        kwargs = dict(bits=4, method="fused", batch_chunk=None)
+        kwargs = dict(bits=4, method="fused")
         engine.matmat(inputs, **kwargs)  # warm operand caches / BLAS
         gated, direct = [], []
         for _ in range(7):

@@ -53,7 +53,6 @@ class TestChipProgramBuild:
         layers = set(device_program.model_arrays)
         assert layers == {"fc1", "fc2"}
         assert set(device_program.layer_arrays) == layers
-        assert set(device_program.layer_dims) == layers
         assert set(device_program.activation_scales) == layers
         # workload calibration programmed every layer's reference bank
         assert set(device_program.calibration_levels) == layers

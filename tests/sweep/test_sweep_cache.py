@@ -191,14 +191,7 @@ class TestArrayStateRestore:
             weights, design="curfe", variation=DEFAULT_VARIATION, seed=9
         )
         arrays = arrays_from_state(built.array_state)
-        restored_state = restore_state(
-            "curfe",
-            rows=built.padded_rows,
-            banks=built.weight_cols,
-            block_rows=built.geometry.block_rows,
-            weight_bits=8,
-            arrays=arrays,
-        )
+        restored_state = restore_state("curfe", arrays)
         restored = TiledLayerEngine(
             weights, design="curfe", variation=DEFAULT_VARIATION, seed=9,
             state=restored_state,
@@ -215,14 +208,7 @@ class TestArrayStateRestore:
             weights, design="chgfe", variation=DEFAULT_VARIATION, seed=2
         )
         arrays = arrays_from_state(built.array_state)
-        restored = restore_state(
-            "chgfe",
-            rows=32,
-            banks=4,
-            block_rows=built.geometry.block_rows,
-            weight_bits=8,
-            arrays=arrays,
-        )
+        restored = restore_state("chgfe", arrays)
         np.testing.assert_array_equal(
             restored.high.capacitance, built.array_state.high.capacitance
         )

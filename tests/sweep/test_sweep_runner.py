@@ -5,8 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.chipsim import ChipSimulator
+from repro.chipsim.scenarios import get_scenario
 from repro.engine.shm import shm_available
 from repro.sweep import SweepRunner, SweepSpec, deterministic_view, pareto_front, run_job
+from repro.sweep.cache import arrays_from_state
+from repro.sweep.runner import _restore_layer_states
 
 #: Where Linux exposes POSIX shared-memory segments.
 SHM_DIR = Path("/dev/shm")
@@ -130,6 +134,25 @@ class TestCacheBehaviour:
             assert entry.with_name(entry.name + ".corrupt").exists()
             with np.load(entry) as bundle:  # rewritten by the second run
                 assert bundle.files
+
+    def test_programming_entry_must_cover_every_weight_layer(self):
+        """An entry restores each layer's state at the dimensions its arrays
+        carry; one missing a weight layer restores nothing (a cold build)."""
+        model = get_scenario("tiny_mlp").build(seed=0)
+        simulator = ChipSimulator(model, design="curfe")
+        states = simulator.inference.layer_array_states()
+        layered = {name: arrays_from_state(state) for name, state in states.items()}
+        restored = _restore_layer_states(layered, model, simulator.config)
+        shapes = {
+            name: (state.rows, state.banks, state.block_rows)
+            for name, state in states.items()
+        }
+        assert {
+            name: (state.rows, state.banks, state.block_rows)
+            for name, state in restored.items()
+        } == shapes
+        del layered[sorted(layered)[0]]
+        assert _restore_layer_states(layered, model, simulator.config) is None
 
     def test_cache_totals_aggregate(self, tmp_path):
         result = SweepRunner(DEVICE_SPEC, cache_dir=tmp_path).run()
