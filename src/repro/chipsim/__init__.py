@@ -2,12 +2,11 @@
 accuracy, performance, and energy.
 
 The subsystem maps every layer of a trained network onto a grid of real
-128×16 macro tiles (:mod:`repro.chipsim.tiling`), executes batched
-device-detailed inference through one :class:`~repro.engine.MacroEngine`
-per layer, and co-reports accuracy with energy / latency priced from the
-tile activity counted in the very same pass
-(:mod:`repro.chipsim.simulator`).  :mod:`repro.chipsim.scenarios` provides
-networks large enough to exercise multi-tile mapping.
+128×16 macro tiles, executes batched device-detailed inference through one
+:class:`~repro.engine.MacroEngine` per layer (:mod:`repro.chipsim.tiling`),
+and co-reports accuracy with energy / latency priced from that same layer
+mapping (:mod:`repro.chipsim.simulator`).  :mod:`repro.chipsim.scenarios`
+provides networks large enough to exercise multi-tile mapping.
 """
 
 from ..system.activity import LayerActivity
@@ -23,7 +22,7 @@ from .scenarios import (
     wide_mlp,
 )
 from .simulator import ChipReport, ChipSimulator, network_spec_from_model
-from .tiling import TiledLayerEngine, TileSpec, plan_tiles
+from .tiling import TiledLayerEngine
 
 __all__ = [
     "LayerActivity",
@@ -40,6 +39,4 @@ __all__ = [
     "ChipSimulator",
     "network_spec_from_model",
     "TiledLayerEngine",
-    "TileSpec",
-    "plan_tiles",
 ]

@@ -38,6 +38,7 @@ __all__ = [
     "Scenario",
     "ScenarioWorkload",
     "SCENARIOS",
+    "model_arrays",
     "register_scenario",
     "get_scenario",
     "deep_cnn",
@@ -221,6 +222,29 @@ class Scenario:
             raise ValueError(f"scenario {self.name!r} has no runtime model")
         return factory(seed=seed, **{**dict(self.params), **overrides})
 
+    def load_model(
+        self, arrays: Mapping[str, Mapping[str, np.ndarray]], *, seed: int = 0
+    ) -> SequentialNet:
+        """The architecture with :func:`model_arrays` weights loaded.
+
+        Builds the skeleton (never retrains) and copies every weight
+        layer's ``"weight"`` and ``"bias"`` into it.
+
+        Raises:
+            ValueError: When *arrays* miss a weight layer.
+        """
+        model = self.build_skeleton(seed=seed)
+        weight_layers = model.weight_layers()
+        missing = set(weight_layers) - set(arrays)
+        if missing:
+            raise ValueError(
+                f"model arrays do not cover weight layers {sorted(missing)}"
+            )
+        for name, layer in weight_layers.items():
+            layer.weight[...] = arrays[name]["weight"]
+            layer.bias[...] = arrays[name]["bias"]
+        return model
+
     def network_spec(self) -> NetworkSpec:
         """The shape-level network spec (spec-only scenarios)."""
         if self.spec_builder is None:
@@ -257,6 +281,22 @@ class Scenario:
             description=description or self.description,
             params={**dict(self.params), **params},
         )
+
+
+def model_arrays(model: SequentialNet) -> Dict[str, Dict[str, np.ndarray]]:
+    """Copies of a model's float weights as ``{layer: {"weight", "bias"}}``.
+
+    The one weight format of the sweep's trained-model cache and of the
+    serving :class:`~repro.serve.ChipProgram`;
+    :meth:`Scenario.load_model` loads it back.
+    """
+    return {
+        name: {
+            "weight": np.array(layer.weight, copy=True),
+            "bias": np.array(layer.bias, copy=True),
+        }
+        for name, layer in model.weight_layers().items()
+    }
 
 
 def _reference_workload(*, images: int, seed: int, params: Mapping[str, Any]) -> ScenarioWorkload:

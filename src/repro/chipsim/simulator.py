@@ -2,13 +2,13 @@
 
 :class:`ChipSimulator` is the paper's weight-stationary chip as one
 executable object.  It maps every conv / linear layer of a trained model
-onto the macro tile grid (via :func:`repro.system.mapping.map_layer` /
-:func:`repro.chipsim.tiling.plan_tiles`), runs batched quantised inference
-through the device-detailed layer engines, counts the hardware activity the
-run actually caused, and prices that activity with the NeuroSim-style
-system model — so the Fig. 10 accuracy and the Figs. 11-12 energy /
-latency / TOPS/W come from the *same* simulated hardware doing the *same*
-work.
+onto the macro tile grid (:func:`repro.system.mapping.map_layer`), runs
+batched quantised inference through the device-detailed layer engines, and
+prices each layer's mapping with the NeuroSim-style system model — so the
+Fig. 10 accuracy and the Figs. 11-12 energy / latency / TOPS/W describe
+the *same* simulated hardware.  The chip's activity per image (block MACs,
+block steps, cross-tile partial-sum adds) follows from the mapping alone:
+it does not depend on the data.
 
 Typical use::
 
@@ -16,7 +16,7 @@ Typical use::
     sim = ChipSimulator(model, design="chgfe", input_bits=4, weight_bits=8)
     report = sim.run(dataset.test_images[:100], dataset.test_labels[:100])
     report.accuracy                    # measured on the simulated chip
-    report.performance.tops_per_watt   # priced from the counted activity
+    report.performance.tops_per_watt   # priced from the layer mapping
     print(report.summary())
 
 Layers run on the default ``"fused"`` kernel; ``device_exec="fast"`` or
@@ -39,11 +39,9 @@ from ..system.chip import ChipParameters
 from ..system.htree import HTreeParameters
 from ..system.inference import InferenceConfig, QuantizedInferenceEngine
 from ..system.layers import ConvLayer, LinearLayer, PoolLayer
-from ..system.mapping import map_layer
 from ..system.networks import NetworkSpec
 from ..system.nn import Conv2D, Linear, MaxPool2D, SequentialNet
 from ..system.performance import SystemPerformanceModel, SystemPerformanceResult
-from .tiling import TiledLayerEngine
 
 __all__ = ["ChipReport", "ChipSimulator", "network_spec_from_model"]
 
@@ -110,10 +108,11 @@ class ChipReport:
         accuracy: Measured top-1 accuracy (None when no labels were given).
         predictions: Per-image class predictions.
         performance: Chip-level energy / latency / area result priced from
-            the pass's counted activity.
+            the layer mapping's activity.
         activities: The per-layer activity fed to the performance model.
         wall_seconds: Host wall-clock time of the simulated pass.
-        tiles_executed: Tile-level matmul invocations during the pass.
+        tiles_executed: Tile-level matmul invocations during the pass
+            (every batch runs every macro of every weight layer once).
     """
 
     network: NetworkSpec
@@ -263,13 +262,6 @@ class ChipSimulator:
 
     # -------------------------------------------------------------- internals
 
-    def _tiled_engines(self) -> Dict[str, TiledLayerEngine]:
-        """The :class:`~repro.chipsim.TiledLayerEngine` of every weight layer."""
-        return {
-            name: quantized.engine
-            for name, quantized in self.inference.quantized_layers.items()
-        }
-
     def calibrated_layers(self) -> int:
         """Weight layers whose ADC references are workload-programmed.
 
@@ -277,53 +269,18 @@ class ChipSimulator:
         it), and always zero with ``calibration="nominal"``.
         """
         return sum(
-            engine.reference_levels is not None
-            for engine in self._tiled_engines().values()
+            layer.engine.reference_levels is not None
+            for layer in self.inference.quantized_layers.values()
         )
 
-    def layer_activities(self, images: int) -> List[LayerActivity]:
-        """Per-image activity of the last run, one entry per network layer.
+    def layer_activities(self) -> List[LayerActivity]:
+        """Per-image activity of the chip, one entry per network layer.
 
-        Weight layers report the *counted* tile activity (macro grid
-        execution); pooling layers, which run in the digital periphery, use
-        the analytic data-movement counts.
+        Weight layers take theirs from their macro mapping, pooling layers
+        from their digital data movement; neither depends on the images a
+        run feeds the chip.
         """
-        if images < 1:
-            raise ValueError("images must be positive")
-        engines = self._tiled_engines()
-        perf = self.performance_model
-        buffer = perf.chip.buffer
-        activities: List[LayerActivity] = []
-        for layer in self.network.layers:
-            if isinstance(layer, PoolLayer):
-                activities.append(perf.pool_layer_activity(layer))
-                continue
-            engine = engines[layer.name]
-            mapping = map_layer(layer, perf.geometry)
-            pixels = engine.columns_processed / images
-            psum_adds = engine.psum_adds / images
-            activities.append(
-                LayerActivity(
-                    layer_name=layer.name,
-                    macs=pixels * layer.num_weights,
-                    num_macros=engine.num_tiles,
-                    row_tiles=engine.row_tiles,
-                    col_tiles=engine.col_tiles,
-                    block_macs=engine.block_macs / images,
-                    block_steps=pixels * mapping.block_activations_per_pixel,
-                    input_bits_moved=pixels
-                    * layer.weight_rows
-                    * perf.input_bits,
-                    output_bits_moved=pixels
-                    * layer.weight_cols
-                    * buffer.output_bits,
-                    psum_bits_moved=psum_adds * buffer.partial_sum_bits,
-                    psum_adds=psum_adds,
-                    activation_ops=pixels * layer.weight_cols,
-                    source="simulated",
-                )
-            )
-        return activities
+        return self.performance_model.network_activities(self.network)
 
     # -------------------------------------------------------------- interface
 
@@ -345,9 +302,8 @@ class ChipSimulator:
         Returns:
             The :class:`ChipReport` of this pass.
         """
-        engines = self._tiled_engines()
-        for engine in engines.values():
-            engine.reset_counters()
+        if len(images) < 1:
+            raise ValueError("images must be positive")
         with get_tracer().span(
             "chipsim.run",
             network=self.network.name,
@@ -368,11 +324,11 @@ class ChipSimulator:
                 else None
             )
             with timed("chipsim.evaluate"):
-                activities = self.layer_activities(len(images))
+                activities = self.layer_activities()
                 performance = self.performance_model.evaluate_activities(
                     self.network, activities
                 )
-        tiles_executed = sum(engine.tile_matmats for engine in engines.values())
+        batches = -(-len(images) // batch_size)
         return ChipReport(
             network=self.network,
             images=len(images),
@@ -381,7 +337,7 @@ class ChipSimulator:
             performance=performance,
             activities=activities,
             wall_seconds=wall_seconds,
-            tiles_executed=tiles_executed,
+            tiles_executed=batches * performance.total_macros,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -5,8 +5,8 @@ weight columns each).  A layer whose unrolled weight matrix exceeds one
 macro is sharded across a tile grid: **row tiles** each hold up to 128
 consecutive weight rows and their digital partial sums are accumulated
 across tiles, **column tiles** own disjoint output channels.
-:func:`plan_tiles` lays that grid out, and the activity counters below
-price it.
+:func:`~repro.system.mapping.map_layer` lays that grid out, and the
+:class:`~repro.chipsim.ChipSimulator` prices the chip from that mapping.
 
 Equivalence to one padded macro
 -------------------------------
@@ -37,14 +37,6 @@ tile holds per engine chunk of
 :data:`~repro.engine.macro_engine.DEFAULT_BATCH_CHUNK` columns, so the
 working set of each thread stays that of one tile.
 
-Activity counters
------------------
-
-Every ``matmat`` updates per-tile activity counters (input columns
-processed, bank-level block MACs, cross-tile partial-sum additions, tile
-invocations).  :class:`~repro.chipsim.ChipSimulator` harvests them to price
-energy and latency from the *same* pass that produced the accuracy.
-
 Workload-calibrated references
 ------------------------------
 
@@ -60,8 +52,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -74,88 +65,8 @@ from ..engine.macro_engine import MacroEngine
 from ..geometry import DEFAULT_GEOMETRY, MacroGeometry
 from ..obs.tracer import get_tracer
 from ..quant.calibration import DEFAULT_MAX_SAMPLES
-from ..quant.quantize import coerce_unsigned_codes
 
-__all__ = ["TileSpec", "plan_tiles", "TiledLayerEngine"]
-
-
-@dataclass(frozen=True)
-class TileSpec:
-    """One macro tile of a sharded weight matrix.
-
-    Attributes:
-        row_tile: Index along the input (weight-row) dimension.
-        col_tile: Index along the output (weight-column) dimension.
-        row_start: First weight row held by the tile.
-        row_stop: One past the last weight row (unpadded).
-        col_start: First weight column held by the tile.
-        col_stop: One past the last weight column.
-        block_start: First global 32-row block index covered.
-        block_stop: One past the last global block index.
-    """
-
-    row_tile: int
-    col_tile: int
-    row_start: int
-    row_stop: int
-    col_start: int
-    col_stop: int
-    block_start: int
-    block_stop: int
-
-    @property
-    def rows(self) -> int:
-        """Weight rows stored on the tile (before block padding)."""
-        return self.row_stop - self.row_start
-
-    @property
-    def banks(self) -> int:
-        """Weight columns (banks) owned by the tile."""
-        return self.col_stop - self.col_start
-
-    @property
-    def num_blocks(self) -> int:
-        """32-row blocks the tile activates per conversion sweep."""
-        return self.block_stop - self.block_start
-
-
-def plan_tiles(
-    weight_rows: int,
-    weight_cols: int,
-    geometry: MacroGeometry = DEFAULT_GEOMETRY,
-) -> List[TileSpec]:
-    """Shard a weight matrix onto the macro grid.
-
-    Row tiles hold up to ``geometry.rows`` consecutive rows; the last row
-    tile's remainder is padded up to whole ``geometry.block_rows`` blocks.
-    Column tiles hold up to ``geometry.weight_columns`` columns.  Tiles are
-    returned column-tile major, row-tile minor (the accumulation order).
-    """
-    if weight_rows < 1 or weight_cols < 1:
-        raise ValueError("weight matrix dimensions must be positive")
-    block = geometry.block_rows
-    total_blocks = -(-weight_rows // block)
-    tiles: List[TileSpec] = []
-    for j in range(geometry.col_tile_count(weight_cols)):
-        col_start, col_stop = geometry.col_tile_bounds(weight_cols, j)
-        for i in range(geometry.row_tile_count(weight_rows)):
-            row_start, row_stop = geometry.row_tile_bounds(weight_rows, i)
-            block_start = i * geometry.blocks_per_macro
-            tiles.append(
-                TileSpec(
-                    row_tile=i,
-                    col_tile=j,
-                    row_start=row_start,
-                    row_stop=row_stop,
-                    col_start=col_start,
-                    col_stop=col_stop,
-                    block_start=block_start,
-                    block_stop=min(
-                        block_start + geometry.blocks_per_macro, total_blocks
-                    ),
-                )
-            )
-    return tiles
+__all__ = ["TiledLayerEngine"]
 
 
 class TiledLayerEngine:
@@ -226,16 +137,18 @@ class TiledLayerEngine:
                 f"block {block})"
             )
         self.array_state = state
-        self.tiles = plan_tiles(self.weight_rows, self.weight_cols, geometry)
         #: The engine every kernel runs on: one macro holding the padded layer.
         self.engine = MacroEngine(state, adc_bits=adc_bits, weight_bits=weight_bits)
         self.engine.program_weights(self._padded(weights))
         self._pool: Optional[ThreadPoolExecutor] = None
-        self.reset_counters()
 
     def _padded(self, columns: np.ndarray) -> np.ndarray:
-        """*columns* (weight_rows, n) zero-padded to whole 32-row blocks."""
-        padded = np.zeros((self.padded_rows, columns.shape[1]), dtype=np.int64)
+        """*columns* (weight_rows, n) zero-padded to whole 32-row blocks.
+
+        The pad keeps the input's dtype: the engine validates the codes, and
+        a non-integral float must reach that check untruncated.
+        """
+        padded = np.zeros((self.padded_rows, columns.shape[1]), dtype=columns.dtype)
         padded[: self.weight_rows] = columns
         return padded
 
@@ -244,31 +157,15 @@ class TiledLayerEngine:
     @property
     def num_tiles(self) -> int:
         """Macros allocated to the layer."""
-        return len(self.tiles)
-
-    @property
-    def row_tiles(self) -> int:
-        """Tiles along the input (row) dimension."""
-        return max(tile.row_tile for tile in self.tiles) + 1
-
-    @property
-    def col_tiles(self) -> int:
-        """Tiles along the output (column) dimension."""
-        return max(tile.col_tile for tile in self.tiles) + 1
+        geometry = self.geometry
+        return geometry.row_tile_count(self.weight_rows) * geometry.col_tile_count(
+            self.weight_cols
+        )
 
     @property
     def total_blocks(self) -> int:
         """Global 32-row blocks covering the (padded) weight rows."""
         return self.padded_rows // self.geometry.block_rows
-
-    # -------------------------------------------------------------- counters
-
-    def reset_counters(self) -> None:
-        """Zero the activity counters."""
-        self.columns_processed = 0
-        self.block_macs = 0
-        self.psum_adds = 0
-        self.tile_matmats = 0
 
     def _worker_pool(self) -> Optional[ThreadPoolExecutor]:
         """The layer's persistent slice thread pool (None when serial).
@@ -331,7 +228,6 @@ class TiledLayerEngine:
                 f"samples must have shape ({self.weight_rows}, batch), "
                 f"got {samples.shape}"
             )
-        samples = coerce_unsigned_codes(samples, bits, name="samples")
         return self.engine.calibrate_references(
             self._padded(samples), bits=bits, max_samples=max_samples
         )
@@ -384,7 +280,6 @@ class TiledLayerEngine:
             Float array of shape (weight_cols, batch).
         """
         validate_device_exec(method)
-        macs_before = self.block_macs
         with get_tracer().span(
             "tiled_layer",
             kernel=method,
@@ -393,10 +288,7 @@ class TiledLayerEngine:
             bits=bits,
         ) as span:
             result = self._matmat_impl(inputs, bits=bits, method=method)
-            span.set(
-                batch=int(result.shape[1]),
-                block_macs=int(self.block_macs - macs_before),
-            )
+            span.set(batch=int(result.shape[1]))
         return result
 
     def _matmat_impl(
@@ -410,13 +302,13 @@ class TiledLayerEngine:
                 f"inputs must have shape ({self.weight_rows}, batch), "
                 f"got {inputs.shape}"
             )
-        padded = self._padded(coerce_unsigned_codes(inputs, bits))
+        # The engine validates the codes: once for the whole padded batch
+        # (fused), or per column slice (plane kernels).
+        padded = self._padded(inputs)
         batch = padded.shape[1]
         engine = self.engine
         if method == "fused":
-            results = engine.matmat(padded, bits=bits, method=method)
-            self._count_matmat(batch)
-            return results
+            return engine.matmat(padded, bits=bits, method=method)
 
         # Plane kernels: tables first (once, on this thread), then column
         # slices holding as many cells per plane tensor as one tile chunk.
@@ -441,19 +333,7 @@ class TiledLayerEngine:
         results = np.empty((self.weight_cols, batch))
         for start, columns in zip(starts, slices):
             results[:, start : start + width] = columns
-        self._count_matmat(batch)
         return results
-
-    def _count_matmat(self, batch: int) -> None:
-        """Record one batch of chip activity (identical for every kernel:
-        the simulated chip performs the same block MACs and psum additions
-        regardless of how the host computes them)."""
-        self.columns_processed += batch
-        self.block_macs += batch * sum(
-            tile.num_blocks * tile.banks for tile in self.tiles
-        )
-        self.psum_adds += batch * (self.row_tiles - 1) * self.weight_cols
-        self.tile_matmats += self.num_tiles
 
     def ideal_matmat(self, inputs: np.ndarray) -> np.ndarray:
         """Exact integer reference for the stored weights."""
@@ -466,5 +346,5 @@ class TiledLayerEngine:
         return (
             f"TiledLayerEngine(design={self.design!r}, "
             f"{self.weight_rows}x{self.weight_cols} weights, "
-            f"{self.row_tiles}x{self.col_tiles} tiles)"
+            f"{self.num_tiles} tiles)"
         )

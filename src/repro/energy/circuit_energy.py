@@ -283,10 +283,10 @@ class CircuitEnergyModel:
     ) -> float:
         """Macro energy of a counted number of bank-level block MACs (J).
 
-        ``block_macs`` is the activity unit emitted by the tiled chip
-        simulator (and derived analytically by the system performance
-        model): one 32-row analog accumulation + conversion per weight
-        column, covering the full bit-serial input sweep.
+        ``block_macs`` is the activity unit the system performance model
+        derives from a layer's macro mapping: one 32-row analog
+        accumulation + conversion per weight column, covering the full
+        bit-serial input sweep.
         """
         if block_macs < 0:
             raise ValueError("block_macs must be non-negative")

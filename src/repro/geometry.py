@@ -57,9 +57,8 @@ class MacroGeometry:
         return self.rows * self.weight_columns
 
     # The tile partition of a weight matrix is defined HERE, once: the
-    # mapper's LayerMapping bounds and the chip simulator's plan_tiles both
-    # delegate to these, so the mapped view and the executed tiles cannot
-    # drift apart.
+    # mapper's LayerMapping (which prices the chip) and the layer engine's
+    # tile count both delegate to these, so they cannot drift apart.
 
     def row_tile_count(self, weight_rows: int) -> int:
         """Macro tiles needed along the row (input) dimension."""

@@ -62,13 +62,14 @@ def coerce_unsigned_codes(
         name: Noun used in error messages.
 
     Returns:
-        The values as an int64 array.
+        The values as an int64 array — *values* itself, not a copy, when
+        it already is one, so callers must only read the result.
     """
     values = np.asarray(values)
     if not np.issubdtype(values.dtype, np.integer):
         if not np.all(values == np.round(values)):
             raise ValueError(f"{name} must be integers")
-    values = values.astype(np.int64)
+    values = values.astype(np.int64, copy=False)
     lo, hi = unsigned_range(bits)
     if np.any(values < lo) or np.any(values > hi):
         raise ValueError(f"{name} outside unsigned {bits}-bit range [{lo}, {hi}]")

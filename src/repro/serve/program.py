@@ -15,7 +15,7 @@ the *outcome* of the expensive one-off setup as plain arrays:
 * the frozen per-layer activation scales — pinning these is what makes a
   request's result independent of whichever micro-batch it rides in;
 * the modeled per-image chip latency / energy of the deployment, priced
-  once from the calibration pass's counted activity.
+  once from the chip's layer mapping.
 
 :meth:`ChipProgram.build` pays the setup cost once;
 :meth:`ChipProgram.instantiate` stamps out a :class:`WarmChip` replica in
@@ -32,7 +32,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..chipsim.scenarios import get_scenario
+from ..chipsim.scenarios import get_scenario, model_arrays
 from ..chipsim.simulator import ChipSimulator, network_spec_from_model
 from ..engine.shm import ArenaManifest, SharedArena
 from ..obs.tracer import get_tracer, timed
@@ -242,19 +242,12 @@ class ChipProgram:
             chip_latency = float(perf.total_latency)
             chip_energy = float(perf.total_energy)
 
-        model_arrays = {
-            layer_name: {
-                "weight": np.array(layer.weight, copy=True),
-                "bias": np.array(layer.bias, copy=True),
-            }
-            for layer_name, layer in model.weight_layers().items()
-        }
         return cls(
             scenario=serve_config.scenario,
             name=serve_config.scenario,
             config=config.to_dict(),
             input_shape=tuple(model.input_shape),
-            model_arrays=model_arrays,
+            model_arrays=model_arrays(model),
             layer_arrays=layer_arrays,
             calibration_levels=levels,
             activation_scales=scales,
@@ -265,21 +258,6 @@ class ChipProgram:
         )
 
     # ------------------------------------------------------------ instantiate
-
-    def _rebuild_model(self):
-        """The scenario architecture with the captured weights loaded."""
-        config_seed = int(self.config["seed"])
-        model = get_scenario(self.scenario).build_skeleton(seed=config_seed)
-        weight_layers = model.weight_layers()
-        missing = set(weight_layers) - set(self.model_arrays)
-        if missing:
-            raise ValueError(
-                f"program does not cover weight layers {sorted(missing)}"
-            )
-        for layer_name, layer in weight_layers.items():
-            layer.weight[...] = self.model_arrays[layer_name]["weight"]
-            layer.bias[...] = self.model_arrays[layer_name]["bias"]
-        return model
 
     def instantiate(self, *, warm_up: bool = True) -> WarmChip:
         """Stamp out one warm replica of the programmed chip.
@@ -295,7 +273,9 @@ class ChipProgram:
         the replica's per-image results are bit-identical to the builder's.
         """
         with get_tracer().span("program.instantiate", scenario=self.scenario):
-            model = self._rebuild_model()
+            model = get_scenario(self.scenario).load_model(
+                self.model_arrays, seed=int(self.config["seed"])
+            )
             config = InferenceConfig.from_dict(self.config)
             if config.backend == "device":
                 assert self.layer_arrays is not None

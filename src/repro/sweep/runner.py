@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..chipsim.scenarios import Scenario, get_scenario
+from ..chipsim.scenarios import Scenario, get_scenario, model_arrays
 from ..chipsim.simulator import ChipSimulator, network_spec_from_model
 from ..obs.tracer import Tracer, get_tracer, set_tracer, timed
 from ..system.inference import InferenceConfig, QuantizedInferenceEngine
@@ -71,20 +71,9 @@ def _acquire_model(
     key = model_key(scenario.name, scenario.params, seed)
     cached = cache.get_layered("model", key)
     if cached is not None:
-        model = scenario.build_skeleton(seed=seed)
-        for name, layer in model.weight_layers().items():
-            layer.weight[...] = cached[name]["weight"]
-            layer.bias[...] = cached[name]["bias"]
-        return model, "hit"
+        return scenario.load_model(cached, seed=seed), "hit"
     model = scenario.build(seed=seed)
-    cache.put_layered(
-        "model",
-        key,
-        {
-            name: {"weight": layer.weight, "bias": layer.bias}
-            for name, layer in model.weight_layers().items()
-        },
-    )
+    cache.put_layered("model", key, model_arrays(model))
     return model, "miss"
 
 

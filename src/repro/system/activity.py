@@ -1,24 +1,19 @@
-"""Hardware activity counts of one layer — the currency between execution
+"""Hardware activity counts of one layer — the currency between mapping
 and cost models.
 
-A :class:`LayerActivity` records *what the chip did* for one layer of one
-inference: how many bank-level block MACs the macros executed, how many
-bits moved through the activation/partial-sum buffers, how many cross-tile
-partial-sum additions the digital periphery performed, and the sequential
-depth that sets latency.  Two producers emit them:
-
-* :class:`repro.system.performance.SystemPerformanceModel` derives them
-  *analytically* from a layer's shape and its macro mapping — the classic
-  NeuroSim-style roll-up, available for networks that exist only as shape
-  descriptors (ResNet18/ImageNet);
-* :class:`repro.chipsim.ChipSimulator` *counts* them while actually
-  executing a workload through the tiled device-detailed macro grid, so
-  accuracy and energy/latency describe the same simulated pass.
-
-Both feed the same converter
-(:meth:`repro.system.performance.SystemPerformanceModel.layer_performance`),
-which is what guarantees the two paths price identical activity
-identically.
+A :class:`LayerActivity` records *what the chip does* for one layer of one
+inference: how many bank-level block MACs the macros execute, how many
+bits move through the activation/partial-sum buffers, how many cross-tile
+partial-sum additions the digital periphery performs, and the sequential
+depth that sets latency.
+:class:`repro.system.performance.SystemPerformanceModel` derives them from
+a layer's shape and its macro mapping (the NeuroSim-style roll-up); on a
+weight-stationary chip none of them depends on the data, so the
+:class:`repro.chipsim.ChipSimulator` prices the very same counts for the
+workload it executes, and networks that exist only as shape descriptors
+(ResNet18/ImageNet) are priced the same way.
+:meth:`repro.system.performance.SystemPerformanceModel.layer_performance`
+converts them to energy and latency.
 
 All counts are **per image** (per inference).
 """
@@ -53,8 +48,6 @@ class LayerActivity:
         activation_ops: Activation-function evaluations.
         pool_elements: Elements consumed by pooling windows.
         digital_steps: Sequential digital-adder steps (pooling latency).
-        source: ``"analytic"`` (derived from shapes) or ``"simulated"``
-            (counted during a tiled chip-simulator run).
     """
 
     layer_name: str
@@ -71,11 +64,8 @@ class LayerActivity:
     activation_ops: float = 0.0
     pool_elements: float = 0.0
     digital_steps: float = 0.0
-    source: str = "analytic"
 
     def __post_init__(self) -> None:
-        if self.source not in ("analytic", "simulated"):
-            raise ValueError("source must be 'analytic' or 'simulated'")
         for field_name in (
             "macs",
             "block_macs",

@@ -23,11 +23,10 @@ Two backends execute the layer matmuls:
   :class:`~repro.chipsim.TiledLayerEngine` that maps the matrix onto a
   grid of real macro tiles: row tiles accumulate digital partial sums in
   global block order, column tiles own disjoint output channels.  This is
-  the same hardware the system performance model prices, and it emits
-  per-tile activity counts for the :class:`~repro.chipsim.ChipSimulator`
-  co-report.  Adding block totals in global block order is also the one
-  engine's own accumulation order, so the engine computes exactly what
-  the grid would.
+  the same hardware the system performance model prices for the
+  :class:`~repro.chipsim.ChipSimulator` co-report.  Adding block totals in
+  global block order is also the one engine's own accumulation order, so
+  the engine computes exactly what the grid would.
 
 Both backends programme their per-layer ADC references from the workload by
 default (``calibration="workload"``): the first batch of each layer acts as
@@ -89,10 +88,7 @@ class InferenceConfig:
             (functional backend only).
         geometry: Macro geometry shared with the mapper and the performance
             model — the single source of truth for rows / weight columns /
-            block rows.
-        rows_per_block: Analog accumulation depth.  Defaults to
-            ``geometry.block_rows``; passing a disagreeing value raises, so
-            the geometry cannot silently fork.
+            block rows (the analog accumulation depth).
         variation: Device-variation statistics.
         seed: Seed of the per-layer programming-variation draws.
         calibration: ADC reference placement — ``"workload"`` (default)
@@ -113,7 +109,6 @@ class InferenceConfig:
     weight_bits: int = 8
     adc_bits: Optional[int] = 5
     geometry: MacroGeometry = DEFAULT_GEOMETRY
-    rows_per_block: Optional[int] = None
     variation: VariationModel = DEFAULT_VARIATION
     seed: int = 0
     calibration: str = "workload"
@@ -127,15 +122,6 @@ class InferenceConfig:
             raise ValueError(f"calibration must be one of {CALIBRATION_MODES}")
         if self.calibration_samples < 1:
             raise ValueError("calibration_samples must be at least 1")
-        if self.rows_per_block is None:
-            object.__setattr__(self, "rows_per_block", self.geometry.block_rows)
-        elif self.rows_per_block != self.geometry.block_rows:
-            raise ValueError(
-                f"rows_per_block={self.rows_per_block} disagrees with "
-                f"geometry.block_rows={self.geometry.block_rows}; the macro "
-                "geometry is the single source of truth — override the "
-                "MacroGeometry instead"
-            )
         if self.backend == "device":
             if self.design == "ideal":
                 raise ValueError(
@@ -155,7 +141,7 @@ class InferenceConfig:
             weight_bits=self.weight_bits,
             input_bits=self.input_bits,
             adc_bits=self.adc_bits,
-            rows_per_block=self.rows_per_block,
+            rows_per_block=self.geometry.block_rows,
             variation=self.variation,
         )
 
@@ -170,8 +156,7 @@ class InferenceConfig:
         :class:`~repro.devices.variation.VariationModel` are expanded to
         their fields, and :meth:`from_dict` reconstructs an equal config
         (``InferenceConfig.from_dict(c.to_dict()) == c``).  The key set is
-        declared by :data:`INFERENCE_SCHEMA`; ``rows_per_block`` is derived
-        from the geometry and intentionally not serialised.
+        declared by :data:`INFERENCE_SCHEMA`.
         """
         return INFERENCE_SCHEMA.to_dict(self)
 

@@ -27,14 +27,14 @@ Activity-driven architecture
 ----------------------------
 
 Costing is split into *producing* per-layer
-:class:`~repro.system.activity.LayerActivity` counts and *converting* them
-to energy / latency (:meth:`SystemPerformanceModel.layer_performance`).
-:meth:`SystemPerformanceModel.evaluate` produces the counts analytically
-from layer shapes and the macro mapping; the tiled
-:class:`~repro.chipsim.ChipSimulator` instead *counts* activity while
-executing a workload on the device-detailed macro grid and feeds it to the
-same converter via :meth:`SystemPerformanceModel.evaluate_activities` — so
-accuracy and energy/latency describe one simulated pass over one mapping.
+:class:`~repro.system.activity.LayerActivity` counts from layer shapes and
+the macro mapping (:meth:`SystemPerformanceModel.network_activities`) and
+*converting* them to energy / latency
+(:meth:`SystemPerformanceModel.layer_performance`, rolled up to chip level
+by :meth:`SystemPerformanceModel.evaluate_activities`).
+:meth:`SystemPerformanceModel.evaluate` chains the two; the tiled
+:class:`~repro.chipsim.ChipSimulator` prices the same activities for the
+network it executes, so accuracy and energy/latency describe one mapping.
 """
 
 from __future__ import annotations
@@ -257,7 +257,6 @@ class SystemPerformanceModel:
             ),
             psum_adds=pixels * mapping.partial_sum_adds_per_pixel,
             activation_ops=pixels * layer.weight_cols,
-            source="analytic",
         )
 
     def pool_layer_activity(self, layer: PoolLayer) -> LayerActivity:
@@ -273,11 +272,10 @@ class SystemPerformanceModel:
                 layer.output_shape.size * layer.kernel_size * layer.kernel_size
             ),
             digital_steps=layer.output_shape.size,
-            source="analytic",
         )
 
     def network_activities(self, network: NetworkSpec) -> List[LayerActivity]:
-        """Analytic activities of every layer of a network, in order."""
+        """Per-image activities of every layer of a network, in order."""
         return [
             self.pool_layer_activity(layer)
             if isinstance(layer, PoolLayer)
@@ -290,8 +288,8 @@ class SystemPerformanceModel:
     def layer_performance(self, activity: LayerActivity) -> LayerPerformance:
         """Price one layer's activity counts into energy and latency.
 
-        This is the single converter behind both the analytic roll-up and
-        the chip simulator's measured counts.
+        The single converter behind :meth:`evaluate` and the chip
+        simulator's co-report.
         """
         buffer = self.chip.buffer
         digital = self.chip.digital
@@ -337,13 +335,13 @@ class SystemPerformanceModel:
     # ----------------------------------------------------------------- totals
 
     def evaluate(self, network: NetworkSpec) -> SystemPerformanceResult:
-        """Evaluate a full network analytically (shape-derived activity)."""
+        """Evaluate a full network from its shape-derived activity."""
         return self.evaluate_activities(network, self.network_activities(network))
 
     def evaluate_activities(
         self, network: NetworkSpec, activities: Sequence[LayerActivity]
     ) -> SystemPerformanceResult:
-        """Roll activities (analytic or simulator-counted) up to chip level."""
+        """Roll per-layer activities up to chip level."""
         layer_results = [self.layer_performance(activity) for activity in activities]
         total_macros = sum(result.num_macros for result in layer_results)
 

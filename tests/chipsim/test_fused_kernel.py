@@ -138,23 +138,6 @@ class TestEngineBitIdentity:
         tiled.clear_calibration()
         assert np.array_equal(nominal, tiled.matmat(inputs, bits=4, method="fused"))
 
-    def test_activity_counters_identical_to_fast(self):
-        rng = np.random.default_rng(15)
-        weights = rng.integers(-128, 128, size=(200, 20))
-        counts = {}
-        for method in ("fast", "fused"):
-            tiled = TiledLayerEngine(
-                weights, design="curfe", variation=DEFAULT_VARIATION, seed=5
-            )
-            inputs = rng.integers(0, 16, size=(200, 9))
-            tiled.matmat(inputs, bits=4, method=method)
-            counts[method] = (
-                tiled.columns_processed, tiled.block_macs,
-                tiled.psum_adds, tiled.tile_matmats,
-            )
-        assert counts["fused"] == counts["fast"]
-
-
 class TestScenarioBitIdentity:
     @pytest.fixture(scope="class")
     def small_images(self):

@@ -173,6 +173,20 @@ def test_slice_width_keeps_one_tile_chunk_of_cells(rows, cols, width):
     assert widths == [width, 1]
 
 
+def test_out_of_range_code_in_last_pooled_slice_raises():
+    """The engine validates each slice's codes, so a bad code in the last
+    slice of a pooled call still raises the layer's ValueError."""
+    tiled = TiledLayerEngine(np.ones((40, 3), dtype=np.int64), design="chgfe")
+    inputs = np.zeros((40, 7), dtype=np.int64)
+    inputs[5, -1] = 16
+    widths = record_slices(tiled)
+    with mock.patch.object(os, "cpu_count", return_value=2), mock.patch.object(
+        macro_engine, "DEFAULT_BATCH_CHUNK", 2
+    ), pytest.raises(ValueError, match=r"inputs outside unsigned 4-bit range"):
+        tiled.matmat(inputs, bits=4, method="fast")
+    assert sorted(widths) == [1, 2, 2, 2]  # every slice ran, the bad one last
+
+
 def test_more_slice_threads_than_cores_lose_no_slice():
     """Eight pool threads on one-column slices with rapid thread switching:
     every slice lands in its own columns and every dispatch is counted."""

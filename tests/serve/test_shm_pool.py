@@ -205,37 +205,40 @@ class TestColdStartLatency:
 
     @pytest.mark.parametrize("device_exec", ["fast", "fused"])
     def test_first_request_builds_no_tables(
-        self, device_exec, device_serve_config, shm_images, monkeypatch
+        self, device_exec, device_serve_config, shm_images
     ):
         """The timing-free form of the warm-start contract: the program's
         compiled plans cover every kernel table, so neither stamping a
-        replica (its warm-up request included) nor the first request builds
-        one (no ``plan_build`` span), and the first request builds no
-        calibrated-search LUT — for a plane kernel and for the layer
-        kernel."""
+        replica nor its first request builds one (no ``plan_build`` span);
+        and stamping leaves a calibrated-search LUT on every calibrated
+        quantiser, the very objects the first request converts with — for
+        a plane kernel and for the layer kernel.  The replica skips its
+        warm-up request, which would build a missing LUT before the check."""
         program = ChipProgram.build(
             dataclasses.replace(device_serve_config, device_exec=device_exec)
         )
-        lut_builds = []
-        build_lut = kernels._calibrated_lut
 
-        def recording_lut(quantizer):
-            if kernels._LUT_ATTR not in quantizer.__dict__:
-                lut_builds.append(quantizer)
-            return build_lut(quantizer)
+        def calibrated_quantizers(chip):
+            return [
+                quantizer
+                for layer in chip.engine.quantized_layers.values()
+                for quantizer in layer.engine.engine._calibrated.values()
+            ]
 
         tracer = Tracer()
         previous = set_tracer(tracer)
         try:
-            chip = program.instantiate()
-            monkeypatch.setattr(kernels, "_calibrated_lut", recording_lut)
+            chip = program.instantiate(warm_up=False)
+            stamped = calibrated_quantizers(chip)
+            assert stamped
+            assert all(kernels._LUT_ATTR in q.__dict__ for q in stamped)
             chip.predict(shm_images)
         finally:
             set_tracer(previous)
         names = {span["name"] for span in tracer.spans()}
         assert {"program.instantiate", "kernel"} <= names  # both ran traced
         assert "plan_build" not in names
-        assert not lut_builds
+        assert list(map(id, calibrated_quantizers(chip))) == list(map(id, stamped))
 
 
 class TestMemoryProbe:

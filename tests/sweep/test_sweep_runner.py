@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.chipsim import ChipSimulator
-from repro.chipsim.scenarios import get_scenario
+from repro.chipsim.scenarios import SCENARIOS, Scenario, get_scenario, tiny_mlp
 from repro.engine.shm import shm_available
 from repro.sweep import SweepRunner, SweepSpec, deterministic_view, pareto_front, run_job
 from repro.sweep.cache import arrays_from_state
@@ -153,6 +153,41 @@ class TestCacheBehaviour:
         } == shapes
         del layered[sorted(layered)[0]]
         assert _restore_layer_states(layered, model, simulator.config) is None
+
+    def test_trained_model_is_built_once_then_restored(self, tmp_path, monkeypatch):
+        """A trained scenario's weights go through the model cache: the first
+        sweep builds (trains) the model, the second loads the cached weights
+        into the skeleton without building, and both score the same."""
+        builds = []
+
+        def trained_tiny_mlp(*, seed=0, **params):
+            builds.append(seed)
+            model = tiny_mlp(seed=seed, **params)
+            for layer in model.weight_layers().values():
+                layer.weight += 0.1  # stands in for training
+            return model
+
+        monkeypatch.setitem(
+            SCENARIOS,
+            "trained_tiny",
+            Scenario(
+                name="trained_tiny",
+                description="tiny_mlp with deterministic 'trained' weights",
+                builder=trained_tiny_mlp,
+                trained=True,
+                skeleton=tiny_mlp,
+            ),
+        )
+        spec = DEVICE_SPEC.subset(
+            scenarios=("trained_tiny",), adc_bits=(5,), calibrations=("nominal",)
+        )
+        cold = SweepRunner(spec, cache_dir=tmp_path).run()
+        assert [r["cache"]["model"] for r in cold.records] == ["miss"]
+        assert builds == [0]
+        warm = SweepRunner(spec, cache_dir=tmp_path).run()
+        assert [r["cache"]["model"] for r in warm.records] == ["hit"]
+        assert builds == [0]
+        assert warm.deterministic_records() == cold.deterministic_records()
 
     def test_cache_totals_aggregate(self, tmp_path):
         result = SweepRunner(DEVICE_SPEC, cache_dir=tmp_path).run()

@@ -31,7 +31,6 @@ class TestInferenceConfigRoundTrip:
         rebuilt = InferenceConfig.from_dict(config.to_dict())
         assert rebuilt == config
         assert rebuilt.geometry.block_rows == 16
-        assert rebuilt.rows_per_block == 16
 
     def test_payload_is_json_compatible(self):
         import json
