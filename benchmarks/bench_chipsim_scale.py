@@ -9,8 +9,8 @@ records images/s, tile matmuls/s, and the fused-over-fast speedup to
 counted activity of the timed pass itself.
 
 Set ``REPRO_BENCH_TINY=1`` for a seconds-scale smoke run (CI): fewer
-images, variation disabled (broadcast characterisation), and no speedup
-assertions.
+images (timed as the median of five runs), variation disabled (broadcast
+characterisation), and no speedup assertions.
 """
 
 import json
@@ -29,7 +29,9 @@ WEIGHT_BITS = 8
 ADC_BITS = 5
 CALIBRATION = "workload"
 IMAGES = tiny(16, 2)
-REPEATS = tiny(3, 1)
+#: Timed runs per path; the record keeps their median.  A tiny run times
+#: only 2 images, so it takes more samples for a steady median.
+REPEATS = tiny(3, 5)
 VARIATION = tiny(DEFAULT_VARIATION, NO_VARIATION)
 SCENARIO_NAMES = tiny(("small_cnn", "deep_cnn", "wide_mlp"), ("deep_cnn", "wide_mlp"))
 

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ..engine.readout_core import adc_raw_codes, codes_to_mac
+from ..obs.tracer import get_tracer
 
 __all__ = [
     "ADCMode",
@@ -34,7 +35,15 @@ __all__ = [
     "SARADC",
     "MACQuantizer",
     "CalibratedMACQuantizer",
+    "LevelTable",
 ]
+
+#: Cells of a calibrated quantiser's direct-level table (its uniform grid).
+_LEVEL_TABLE_CELLS = 8192
+#: A cell's window: the cell plus this many cells on either side.
+_WINDOW_CELLS = 2
+#: A cell spans at least this many float spacings of the grid's voltages.
+_MIN_CELL_SPACINGS = 16
 
 
 class ADCMode:
@@ -300,6 +309,50 @@ class MACQuantizer:
         )
 
 
+class LevelTable(NamedTuple):
+    """A uniform voltage grid that converts most voltages with one gather.
+
+    A voltage ``v`` sits at grid position ``(v - base) * scale``; its cell
+    is that position truncated to an integer and clipped to the table, so
+    cell 0 takes every position below 1 and the last cell every position
+    from ``len(levels) - 1`` up.  ``levels[cell]`` is the level the voltage
+    converts to, or NaN where it must go through
+    :meth:`CalibratedMACQuantizer.quantize_voltages` instead.
+    """
+
+    levels: np.ndarray
+    base: float
+    scale: float
+
+
+def _build_level_table(
+    thresholds: np.ndarray, levels_by_voltage: np.ndarray
+) -> LevelTable:
+    """One level set's direct-level table (see ``CalibratedMACQuantizer.level_table``)."""
+    if thresholds.size == 0:
+        # One level: every voltage converts to it.
+        return LevelTable(levels_by_voltage.copy(), 0.0, 0.0)
+    first, last = float(thresholds[0]), float(thresholds[-1])
+    # Cells between the grid's base and the first threshold (and after the
+    # last): the end cells' windows then lie wholly outside the thresholds.
+    pad = _WINDOW_CELLS + 2
+    # Every grid edge lies within twice the largest threshold magnitude.
+    magnitude = max(2.0 * max(abs(first), abs(last)), 1.0)
+    width = max(
+        (last - first) / (_LEVEL_TABLE_CELLS - 2 * pad),
+        _MIN_CELL_SPACINGS * float(np.spacing(magnitude)),
+    )
+    base = first - pad * width
+    cells = np.arange(_LEVEL_TABLE_CELLS, dtype=float)
+    low = base + (cells - _WINDOW_CELLS) * width
+    high = base + (cells + 1 + _WINDOW_CELLS) * width
+    low[0], high[-1] = -np.inf, np.inf
+    index = np.searchsorted(thresholds, low)
+    uniform = index == np.searchsorted(thresholds, high)
+    levels = np.where(uniform, levels_by_voltage[index], np.nan)
+    return LevelTable(levels, base, 1.0 / width)
+
+
 class CalibratedMACQuantizer:
     """SAR conversion against a workload-programmed reference bank.
 
@@ -338,6 +391,7 @@ class CalibratedMACQuantizer:
         self._thresholds = 0.5 * (
             self._level_voltages[:-1] + self._level_voltages[1:]
         )
+        self._level_table: Optional[LevelTable] = None
 
     @property
     def num_levels(self) -> int:
@@ -355,6 +409,73 @@ class CalibratedMACQuantizer:
     def quantize_voltage(self, voltage: float) -> float:
         """Scalar :meth:`quantize_voltages`."""
         return float(self.quantize_voltages(np.asarray([voltage]))[0])
+
+    def quantize_voltages_into(
+        self, voltages: np.ndarray, out: np.ndarray, cell: np.ndarray
+    ) -> None:
+        """:meth:`quantize_voltages` of *voltages* into *out*, mostly by one gather.
+
+        Four passes into the caller's buffers — subtract the
+        :meth:`level_table`'s base and multiply by its scale (in *out*),
+        cast to cell indices (in *cell*), gather each cell's level (into
+        *out*) — then one ``isnan`` pass finds the NaN cells, and only
+        their voltages go through :meth:`quantize_voltages`.  So *out*
+        equals ``quantize_voltages(voltages)`` bit for bit, for every
+        voltage in the table's domain.  The three arrays are C-contiguous
+        and of one shape, *cell* is int64, and *voltages* is left unchanged.
+        """
+        table = self.level_table()
+        np.subtract(voltages, table.base, out=out)
+        np.multiply(out, table.scale, out=out)
+        cell[...] = out
+        np.take(table.levels, cell, mode="clip", out=out)
+        # About 1% of conversions hit a NaN cell, so nearly every buffer of
+        # a layer has some: find them directly rather than test for them.
+        exact = np.flatnonzero(np.isnan(out))
+        if exact.size:
+            out.ravel()[exact] = self.quantize_voltages(voltages.ravel()[exact])
+
+    def level_table(self) -> LevelTable:
+        """The direct-level table of this level set, built on first call.
+
+        A uniform grid of ``_LEVEL_TABLE_CELLS`` cells over the thresholds
+        (the midpoints of adjacent level voltages), four cells past them on
+        either side.  :meth:`quantize_voltages_into` converts a voltage by
+        computing its cell and gathering the cell's level; a NaN cell sends
+        the voltage through :meth:`quantize_voltages`.  A cell holds a level
+        only if all three of these hold:
+
+        1. ``np.searchsorted(thresholds, ·)`` gives one index at both ends
+           of the cell's window — the cell plus ``_WINDOW_CELLS`` cells on
+           either side, unbounded outward for the two end cells.  Indices
+           are compared, not levels, and the index is monotone in the
+           voltage, so every voltage in the window converts to that level.
+        2. The window covers the cell map's worst-case rounding.  Inside the
+           grid the computed position is off by at most two roundings
+           (under 2e-12 cells); each window edge is off by at most two float
+           spacings of the grid's largest voltage, which rule 3 keeps under
+           1/8 cell.  Both sit far inside the two-cell margin.
+        3. The cell is at least ``_MIN_CELL_SPACINGS`` float spacings of the
+           grid's largest voltage magnitude, taken as no less than 1 V.  A
+           level set clustered tighter gets wider cells, never narrower
+           ones, and its cluster lands in NaN cells.
+
+        Rules 2 and 3 hold by construction; rule 1 is checked cell by
+        cell, and a cell that fails it holds NaN.  So a table conversion
+        equals :meth:`quantize_voltages` bit for bit, for every voltage
+        whose position casts exactly to an integer: rule 3's 1 V floor caps
+        ``scale`` at 2**48 cells per volt, so that is every voltage within
+        2**14 V of ``base``.  Readout voltages are finite and within the
+        supply; NaN and infinite voltages are outside this domain.
+        """
+        if self._level_table is None:
+            with get_tracer().span(
+                "level_table", levels=self.num_levels, cells=_LEVEL_TABLE_CELLS
+            ):
+                self._level_table = _build_level_table(
+                    self._thresholds, self._levels_by_voltage
+                )
+        return self._level_table
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -55,13 +55,26 @@ designs, calibrated and uncalibrated.  ``"exact"`` and ``"fast"`` stay as
 the oracles the tests compare ``"fused"`` against
 (``tests/chipsim/test_fused_kernel.py`` asserts ``array_equal``, including
 a ``hypothesis`` property over layer shapes and precisions).
+
+The plane kernels convert voltages with the quantisers'
+``quantize_voltages``; ``"fused"`` converts them into its own buffers, with
+results equal to ``quantize_voltages`` bit for bit.  A nominal
+(uniform-reference) conversion repeats
+:meth:`~repro.circuits.adc.MACQuantizer.quantize_voltages`'s float
+operations in place.  A calibrated conversion
+(:meth:`~repro.circuits.adc.CalibratedMACQuantizer.quantize_voltages_into`)
+is one gather from the quantiser's direct-level table: a uniform voltage
+grid whose cells hold the level that every voltage the cell map can place
+in them converts to, or NaN where a threshold comes within two cells.  The
+voltages that land in a NaN cell (about 1% of them) go through
+``quantize_voltages`` itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..circuits.adc import CalibratedMACQuantizer
+from ..circuits.adc import MACQuantizer
 from ..obs.tracer import get_tracer
 from .array_state import CURFE_DESIGN, NUM_COLUMNS
 
@@ -240,85 +253,14 @@ def _fused_tables(engine, key: str) -> tuple:
 _BUILD_TABLES = {"exact": _exact_tables, "fast": _fast_tables, "fused": _fused_tables}
 
 
-#: Cells of the bucketed nearest-level index (see :func:`_calibrated_lut`).
-_LUT_GRID = 2048
-#: Above this many residual comparison steps the bucket table degenerates
-#: (pathologically clustered levels) and plain searchsorted is used instead.
-_LUT_MAX_STEPS = 8
-_LUT_ATTR = "_fused_bucket_lut"
+def _quantize_macs_inplace(quantizer: MACQuantizer, buf: np.ndarray) -> None:
+    """Nominal (uniform-reference) ADC conversion of voltages to MAC values, in place.
 
-
-def _calibrated_lut(quantizer: CalibratedMACQuantizer):
-    """Bucketed index table for the calibrated nearest-level search.
-
-    ``searchsorted`` over the threshold midpoints costs ~30 ns/element; at
-    fused-kernel throughput that dominates the whole pipeline.  This table
-    maps a voltage to a uniform grid cell, looks up a conservative lower
-    bound of its threshold index, and finishes with ``steps`` data-parallel
-    ``index += (next_threshold < v)`` corrections.  The bounds are chosen
-    so the result equals ``np.searchsorted(thresholds, v)`` *exactly* (one
-    grid cell of slack on each side absorbs the float cell arithmetic), so
-    calibrated fused output stays bit-identical to the plane kernels'
-    direct quantiser path.
-
-    Returns ``(start, steps, tmin, scale, ext)`` or None when the level
-    set is degenerate (single level / zero span / clustered beyond
-    ``_LUT_MAX_STEPS``) and the caller should fall back to searchsorted.
+    The elementwise float operations of :meth:`MACQuantizer.quantize_voltages`
+    (``adc_raw_codes`` then ``codes_to_mac``) in the same order, with
+    ``out=`` buffers instead of temporaries — bit-identical results, no
+    allocation in the hot loop.
     """
-    cached = quantizer.__dict__.get(_LUT_ATTR, "unset")
-    if cached != "unset":
-        return cached
-    lut = None
-    thresholds = quantizer._thresholds
-    if thresholds.size >= 2:
-        tmin = float(thresholds[0])
-        span = float(thresholds[-1]) - tmin
-        if span > 0.0 and np.isfinite(span):
-            scale = _LUT_GRID / span
-            cells = np.arange(_LUT_GRID, dtype=float)
-            # One cell of slack either side: any voltage whose computed
-            # (clipped) cell is c satisfies lo_edge[c] <= v < hi_edge[c].
-            lo_edges = tmin + (cells - 1.0) / scale
-            hi_edges = tmin + (cells + 2.0) / scale
-            start = np.searchsorted(thresholds, lo_edges, side="left")
-            upper = np.searchsorted(thresholds, hi_edges, side="right")
-            steps = int(np.max(upper - start))
-            if steps <= _LUT_MAX_STEPS:
-                ext = np.append(thresholds, np.inf)
-                lut = (start, steps, tmin, scale, ext)
-    quantizer.__dict__[_LUT_ATTR] = lut
-    return lut
-
-
-def _quantize_macs_inplace(quantizer, buf: np.ndarray) -> None:
-    """In-place ADC conversion of analog voltages to reported MAC values.
-
-    Performs the identical elementwise float operations (in the identical
-    order) as ``MACQuantizer.quantize_voltages`` /
-    ``CalibratedMACQuantizer.quantize_voltages``, with ``out=`` buffers
-    instead of temporaries — bit-identical results, no allocation in the
-    hot loop.
-    """
-    if isinstance(quantizer, CalibratedMACQuantizer):
-        levels = quantizer._levels_by_voltage
-        if quantizer.levels.size == 1:
-            buf[...] = quantizer.levels[0]
-            return
-        lut = _calibrated_lut(quantizer)
-        if lut is None:
-            indices = np.searchsorted(quantizer._thresholds, buf)
-        else:
-            start, steps, tmin, scale, ext = lut
-            cells = np.subtract(buf, tmin)
-            np.multiply(cells, scale, out=cells)
-            np.floor(cells, out=cells)
-            cell_idx = cells.astype(np.int64)
-            np.clip(cell_idx, 0, start.size - 1, out=cell_idx)
-            indices = start[cell_idx]
-            for _ in range(steps):
-                np.add(indices, ext[indices] < buf, out=indices)
-        np.take(levels, indices, out=buf)
-        return
     adc = quantizer.adc
     params = adc.params
     top = params.num_levels - 1
@@ -375,6 +317,12 @@ def fused_block_totals(engine, values: np.ndarray, bits: int) -> np.ndarray:
     bitlines = (
         None if curfe else [np.empty((stacked_rows, banks)) for _ in range(NUM_COLUMNS)]
     )
+    # A calibrated group's readout writes its voltages here, where they stay
+    # while the table conversion fills its MAC buffer: the voltages of NaN
+    # cells are converted from them.  A nominal group converts in place.
+    if engine._calibrated:
+        voltages = np.empty((stacked_rows, banks))
+        cell = np.empty((stacked_rows, banks), dtype=np.int64)
     block_totals = np.empty((num_block_rows, batch, banks))
     plane_scaled = np.empty((batch, banks))
 
@@ -383,7 +331,8 @@ def fused_block_totals(engine, values: np.ndarray, bits: int) -> np.ndarray:
         for key in keys:
             group = state.group(key)
             table, offsets = kernel_tables(engine, "fused", key)
-            out = macs[key]
+            calibrated = engine._calibrated.get(key)
+            out = macs[key] if calibrated is None else voltages
             if curfe:
                 np.matmul(operand, table[j], out=out)
                 np.add(out, offsets[j], out=out)
@@ -404,8 +353,10 @@ def fused_block_totals(engine, values: np.ndarray, bits: int) -> np.ndarray:
                 np.add(out, bitlines[2], out=out)
                 np.add(out, bitlines[3], out=out)
                 np.divide(out, group.capacitance_total[:, j], out=out)
-            quantizer = engine._calibrated.get(key) or engine._quantizers[key]
-            _quantize_macs_inplace(quantizer, out)
+            if calibrated is None:
+                _quantize_macs_inplace(engine._quantizers[key], out)
+            else:
+                calibrated.quantize_voltages_into(voltages, macs[key], cell)
         combined = macs["high"]
         if engine.weight_bits == 8:
             np.multiply(combined, 16.0, out=combined)

@@ -283,17 +283,17 @@ class MacroEngine:
         """Eagerly materialise every table the *device_exec* kernel needs.
 
         After this call the first request served by the engine runs the hot
-        path only — no lazy operand-table or LUT population: every group
-        gets the kernel's tables (named in
-        :data:`~repro.engine.kernels.KERNEL_TABLES`), and every calibrated
-        quantiser its bucketed calibrated-search LUT.
+        path only — no lazy table population: every group gets the kernel's
+        tables (named in :data:`~repro.engine.kernels.KERNEL_TABLES`), and
+        every calibrated quantiser its direct-level table
+        (:meth:`~repro.circuits.adc.CalibratedMACQuantizer.level_table`).
         """
         self._check_programmed()
         validate_device_exec(device_exec)
         for key in self._group_keys():
             kernels.kernel_tables(self, device_exec, key)
         for quantizer in self._calibrated.values():
-            kernels._calibrated_lut(quantizer)
+            quantizer.level_table()
 
     def export_kernel_plan(self, device_exec: str) -> Dict[str, np.ndarray]:
         """Precompile for *device_exec* and export the tables as flat arrays.
@@ -303,8 +303,9 @@ class MacroEngine:
         arrays the kernel computes on — suitable for packing into a
         :class:`~repro.engine.shm.SharedArena` and re-installing with
         :meth:`apply_kernel_plan` (zero-copy, no recompute).  The
-        calibrated-search LUT is *not* exported: it keys on the quantiser
-        instance and is cheap to rebuild at apply time.
+        calibrated quantisers' direct-level tables are *not* exported: each
+        belongs to its quantiser instance and is cheap to rebuild at apply
+        time.
         """
         self.precompile(device_exec)
         return {
@@ -321,8 +322,8 @@ class MacroEngine:
         """Install exported kernel tables without recomputing them.
 
         *arrays* may be read-only shared-memory views; they are adopted
-        as-is (zero-copy).  Calibrated LUTs are rebuilt locally via
-        :meth:`precompile`.
+        as-is (zero-copy).  Calibrated direct-level tables are rebuilt
+        locally via :meth:`precompile`.
         """
         self._check_programmed()
         names = KERNEL_TABLES[validate_device_exec(device_exec)]

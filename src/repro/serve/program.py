@@ -292,7 +292,7 @@ class ChipProgram:
                 engine.apply_activation_scales(self.activation_scales)
                 # Warm start: install the ahead-of-time compiled kernel tables
                 # (zero-copy when they are shared-memory views), then precompile
-                # whatever remains (calibrated-search LUTs; everything, for a
+                # whatever remains (direct-level tables; everything, for a
                 # program that predates kernel plans) — request #1 runs the hot
                 # path only.
                 if self.kernel_plans:

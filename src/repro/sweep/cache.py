@@ -245,7 +245,10 @@ class SweepCache:
         """
         path = self._path(kind, key)
         try:
-            with np.load(path) as bundle:
+            # The file is opened here, not by np.load: np.load hands its own
+            # handle to the archive reader, which drops it unclosed when a
+            # torn archive fails to parse.
+            with open(path, "rb") as handle, np.load(handle) as bundle:
                 arrays = {name: bundle[name] for name in bundle.files}
         except FileNotFoundError:
             self._count(kind, key, hit=False)

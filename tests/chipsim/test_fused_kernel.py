@@ -108,6 +108,34 @@ class TestEngineBitIdentity:
         fused = mono.matmat(padded, bits=4, method="fused")
         assert np.array_equal(fused, fast)
 
+    @pytest.mark.parametrize("design", ["curfe", "chgfe"])
+    def test_clustered_levels_take_the_exact_path(self, design):
+        """Reference levels clustered against one far outlier stretch the
+        direct-level table's grid until the layer's voltages fall in its
+        NaN cells, so most fused conversions go through
+        ``quantize_voltages`` — and fused still equals fast and exact."""
+        rng = np.random.default_rng(15)
+        weights = rng.integers(-128, 128, size=(96, 12))
+        mono, padded_rows = monolithic_engine(weights, design=design)
+        inputs = np.zeros((padded_rows, 7), dtype=np.int64)
+        inputs[:96] = rng.integers(0, 16, size=(96, 7))
+        levels = mono.calibrate_references(inputs, bits=4)
+        mono.apply_reference_levels(
+            {key: np.append(value, value.max() + 2e5) for key, value in levels.items()}
+        )
+        converted = []
+        for quantizer in mono._calibrated.values():
+            def spy(voltages, convert=quantizer.quantize_voltages):
+                converted.append(np.size(voltages))
+                return convert(voltages)
+            quantizer.quantize_voltages = spy
+        fused = mono.matmat(inputs, bits=4, method="fused")
+        # bits x images x banks x block rows x column groups
+        conversions = 4 * 7 * 12 * mono.state.num_block_rows * 2
+        assert sum(converted) > conversions / 2, (sum(converted), conversions)
+        for method in ("fast", "exact"):
+            assert np.array_equal(mono.matmat(inputs, bits=4, method=method), fused)
+
     def test_narrow_weights_and_odd_bits(self):
         rng = np.random.default_rng(13)
         weights = rng.integers(-8, 8, size=(160, 10))

@@ -1,20 +1,30 @@
 """The three fixed kernels: one validation point, one table cache.
 
 Covers ``device_exec`` validation (the ValueError that lists the kernels
-on a typo, at every config surface), the one default, the bucketed-LUT
-calibrated search (exact ``searchsorted`` equality, the property the fused
-kernel's calibrated bit-identity rests on), and the kernel-table cache:
-precompile, invalidation and the exported-plan round trip.
+on a typo, at every config surface), the one default, the two ADC
+conversions of the fused kernel (the calibrated direct-level table equals
+``quantize_voltages`` exactly, the property the fused kernel's calibrated
+bit-identity rests on; the nominal converter equals its quantiser), and the
+kernel-table cache: precompile, invalidation and the exported-plan round
+trip.
 """
 
 import inspect
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.chipsim import ChipSimulator, TiledLayerEngine
 from repro.chipsim.scenarios import get_scenario
-from repro.circuits.adc import CalibratedMACQuantizer
+from repro.circuits.adc import (
+    ADCParameters,
+    CalibratedMACQuantizer,
+    MACQuantizer,
+    SARADC,
+)
+from repro.circuits.tia import TIAParameters
 from repro.core.macro import IMCMacroConfig
 from repro.devices.variation import DEFAULT_VARIATION, NO_VARIATION
 from repro.engine import kernels
@@ -185,48 +195,115 @@ class TestDispatchLabels:
             )
 
 
-class TestCalibratedLut:
-    def _quantizer(self, seed, num_levels=31):
-        rng = np.random.default_rng(seed)
-        levels = np.unique(rng.normal(0.0, 40.0, size=num_levels).round(3))
-        slope = 0.001 if seed % 2 == 0 else -0.001
-        return CalibratedMACQuantizer(
-            levels, nominal_voltage_for_mac=lambda mac: 0.45 + slope * mac
-        )
+@st.composite
+def level_sets(draw):
+    """MAC-domain level sets with the shapes that stress a voltage grid.
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_lut_equals_searchsorted(self, seed):
-        quantizer = self._quantizer(seed)
-        lut = kernels._calibrated_lut(quantizer)
-        assert lut is not None
-        start, steps, tmin, scale, ext = lut
-        rng = np.random.default_rng(100 + seed)
-        thresholds = quantizer._thresholds
-        # Dense probes, exact threshold hits, and out-of-range values.
-        probes = np.concatenate([
-            rng.uniform(thresholds[0] - 1.0, thresholds[-1] + 1.0, size=4096),
-            thresholds,
-            np.nextafter(thresholds, -np.inf),
-            np.nextafter(thresholds, np.inf),
-        ])
-        expected = np.searchsorted(thresholds, probes)
-        cells = np.clip(((probes - tmin) * scale).astype(np.int64), 0,
-                        start.size - 1)
-        indices = start[cells]
-        for _ in range(steps):
-            indices += ext[indices] < probes
-        np.testing.assert_array_equal(indices, expected)
+    2-64 levels with duplicates, optionally a cluster a few float spacings
+    apart in voltage and one far outlier, on a linear transfer of either
+    slope sign.
+    """
+    slope = draw(st.sampled_from([1e-3, -1e-3, 3.7e-5, -2.5e-3]))
+    offset = draw(st.floats(0.05, 0.95))
+    levels = draw(st.lists(st.floats(-300.0, 300.0), min_size=2, max_size=43))
+    levels += draw(st.lists(st.sampled_from(levels), max_size=8))
+    if draw(st.booleans()):
+        # A cluster: levels whose voltages sit a few float spacings apart.
+        center = draw(st.sampled_from(levels))
+        step = np.spacing(offset + slope * center) / abs(slope)
+        levels += [
+            center + ulps * step
+            for ulps in draw(st.lists(st.integers(-6, 6), min_size=1, max_size=12))
+        ]
+    if draw(st.booleans()):
+        levels.append(draw(st.sampled_from([-1.0, 1.0])) * 2e5)
+    return CalibratedMACQuantizer(
+        np.array(levels), nominal_voltage_for_mac=lambda mac: offset + slope * mac
+    )
 
-    def test_degenerate_levels_fall_back(self):
+
+def table_probes(quantizer, seed):
+    """Voltages where a table conversion could go wrong."""
+    table = quantizer.level_table()
+    thresholds = quantizer._thresholds
+    rng = np.random.default_rng(seed)
+    cells = np.arange(table.levels.size + 1)
+    edges = table.base + cells / table.scale if table.scale else np.array([])
+    spread = np.concatenate([thresholds, [table.base]])
+    clamp = TIAParameters()
+    exact = np.concatenate([
+        thresholds,
+        edges,
+        [clamp.output_swing_margin, clamp.supply_voltage - clamp.output_swing_margin],
+        # Far outside the span, but inside the table's 2**14 V domain.
+        spread.min() - np.array([1.0, 1e3, 1e4]),
+        spread.max() + np.array([1.0, 1e3, 1e4]),
+        rng.uniform(spread.min() - 0.1, spread.max() + 0.1, size=1024),
+    ])
+    return np.concatenate([
+        exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf)
+    ])
+
+
+class TestFusedConversions:
+    @settings(max_examples=60, deadline=None)
+    @given(quantizer=level_sets(), seed=st.integers(0, 2**16))
+    @example(  # one level
+        quantizer=CalibratedMACQuantizer(
+            np.array([4.0, 4.0]), nominal_voltage_for_mac=lambda mac: 0.5
+        ),
+        seed=0,
+    )
+    @example(  # two levels on one voltage: a single threshold, zero span
+        quantizer=CalibratedMACQuantizer(
+            np.array([1.0, 2.0]), nominal_voltage_for_mac=lambda mac: 0.5
+        ),
+        seed=0,
+    )
+    def test_table_conversion_equals_quantize_voltages(self, quantizer, seed):
+        """The fused kernel's calibrated conversion — one gather through
+        the direct-level table, NaN cells converted exactly — equals the
+        quantiser's own ``searchsorted`` conversion on every probe: the
+        thresholds, grid-cell edges, TIA clamp bounds, voltages far outside
+        the span, and the float neighbours of each."""
+        probes = table_probes(quantizer, seed)
+        out, cell = np.empty_like(probes), np.empty(probes.shape, dtype=np.int64)
+        quantizer.quantize_voltages_into(probes, out, cell)
+        np.testing.assert_array_equal(out, quantizer.quantize_voltages(probes))
+        table = quantizer.level_table()
+        assert table.levels.size in (1, 8192)
+        if table.scale:
+            # Rule 3: a cell spans at least 16 float spacings of the grid.
+            top = table.base + table.levels.size / table.scale
+            widest = max(abs(table.base), abs(top), 1.0)
+            assert 1.0 / table.scale >= 16 * np.spacing(widest)
+
+    def test_table_is_built_once_in_its_own_span(self):
         quantizer = CalibratedMACQuantizer(
-            np.array([3.0]), nominal_voltage_for_mac=lambda mac: 0.5
+            np.arange(-15.0, 17.0),
+            nominal_voltage_for_mac=lambda mac: 0.5 + 1e-3 * mac,
         )
-        assert kernels._calibrated_lut(quantizer) is None
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            table = quantizer.level_table()
+            assert quantizer.level_table() is table
+        finally:
+            set_tracer(previous)
+        (span,) = tracer.spans()
+        assert span["name"] == "level_table"
+        assert span["attrs"] == {"levels": 32, "cells": 8192}
 
-    def test_quantize_macs_inplace_matches_quantizer(self):
-        quantizer = self._quantizer(7)
+    def test_nominal_conversion_matches_quantizer(self):
+        """The nominal converter runs ``MACQuantizer.quantize_voltages``'s
+        float operations in place, so it equals the quantiser exactly —
+        including voltages outside the ADC range and on code midpoints."""
+        adc = SARADC(ADCParameters(), offset_voltage=0.003)
+        quantizer = MACQuantizer(adc, mac_at_v_min=-120.0, mac_at_v_max=105.0)
         rng = np.random.default_rng(7)
-        buf = rng.uniform(0.0, 1.0, size=257)
+        lsb = adc.params.lsb_voltage
+        midpoints = adc.params.v_min + (np.arange(32) + 0.5) * lsb - 0.003
+        buf = np.concatenate([rng.uniform(-0.2, 1.2, size=257), midpoints])
         expected = quantizer.quantize_voltages(buf)
         kernels._quantize_macs_inplace(quantizer, buf)
         np.testing.assert_array_equal(buf, expected)
@@ -236,9 +313,9 @@ class TestPrecompiledPlanInvalidation:
     """Cache-invalidation audit of the ahead-of-time compiled kernel plans.
 
     Every mutator that changes what a kernel computes must drop or rebuild
-    the precompiled operand tables and the calibrated-search LUT:
+    the precompiled operand tables and the calibrated direct-level tables:
     ``program_weights`` invalidates everything, ``apply_reference_levels``
-    swaps in fresh quantisers (hence fresh LUTs), ``clear_calibration``
+    swaps in fresh quantisers (hence fresh tables), ``clear_calibration``
     reverts conversion to the nominal grid.  The pattern-derived fused and
     plane tables legitimately survive calibration changes — they depend
     only on the programmed cell state.
@@ -261,7 +338,7 @@ class TestPrecompiledPlanInvalidation:
             (kernel, key) for kernel in ("fast", "fused") for key in ("high", "low")
         }
         for quantizer in engine._calibrated.values():
-            assert kernels._LUT_ATTR in quantizer.__dict__
+            assert quantizer._level_table is not None
 
     def test_program_weights_invalidates_precompiled_state(self):
         engine, _, rng = self._calibrated_engine()
@@ -285,15 +362,15 @@ class TestPrecompiledPlanInvalidation:
         engine, _, rng = self._calibrated_engine()
         engine.precompile("fused")
         old = dict(engine._calibrated)
-        assert all(kernels._LUT_ATTR in q.__dict__ for q in old.values())
+        assert all(q._level_table is not None for q in old.values())
         shifted = {k: v + 1.0 for k, v in engine.reference_levels.items()}
         engine.apply_reference_levels(shifted)
         for key, quantizer in engine._calibrated.items():
             assert quantizer is not old[key]
-            assert kernels._LUT_ATTR not in quantizer.__dict__
+            assert quantizer._level_table is None
         engine.precompile("fused")
-        # The rebuilt LUT must reproduce searchsorted semantics: fused
-        # (LUT path) equals fast (direct quantiser path) bit for bit.
+        # The rebuilt table must reproduce searchsorted semantics: fused
+        # (table path) equals fast (direct quantiser path) bit for bit.
         inputs = rng.integers(0, 16, size=(64, 5))
         assert np.array_equal(
             engine.matmat(inputs, bits=4, method="fused"),

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 import repro.engine.shm as shm_module
-from repro.engine import kernels
 from repro.obs.tracer import Tracer, set_tracer
 from repro.serve import ChipProgram, ServeConfig, WorkerPool
 from repro.serve.worker import _memory_bytes
@@ -210,10 +209,11 @@ class TestColdStartLatency:
         """The timing-free form of the warm-start contract: the program's
         compiled plans cover every kernel table, so neither stamping a
         replica nor its first request builds one (no ``plan_build`` span);
-        and stamping leaves a calibrated-search LUT on every calibrated
-        quantiser, the very objects the first request converts with — for
-        a plane kernel and for the layer kernel.  The replica skips its
-        warm-up request, which would build a missing LUT before the check."""
+        and stamping leaves a direct-level table on every calibrated
+        quantiser, the very objects the first request converts with, so
+        the request builds none (no new ``level_table`` span) — for a plane
+        kernel and for the layer kernel.  The replica skips its warm-up
+        request, which would build a missing table before the check."""
         program = ChipProgram.build(
             dataclasses.replace(device_serve_config, device_exec=device_exec)
         )
@@ -231,13 +231,16 @@ class TestColdStartLatency:
             chip = program.instantiate(warm_up=False)
             stamped = calibrated_quantizers(chip)
             assert stamped
-            assert all(kernels._LUT_ATTR in q.__dict__ for q in stamped)
+            assert all(q._level_table is not None for q in stamped)
+            stamped_spans = len(tracer.spans())
             chip.predict(shm_images)
         finally:
             set_tracer(previous)
         names = {span["name"] for span in tracer.spans()}
         assert {"program.instantiate", "kernel"} <= names  # both ran traced
         assert "plan_build" not in names
+        request = {span["name"] for span in tracer.spans()[stamped_spans:]}
+        assert "kernel" in request and "level_table" not in request
         assert list(map(id, calibrated_quantizers(chip))) == list(map(id, stamped))
 
 

@@ -1,5 +1,8 @@
 """The content-addressed cache and the ArrayState restore round trip."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -122,6 +125,19 @@ class TestTornEntries:
         monkeypatch.setattr("repro.sweep.cache.os.replace", moved_already)
         assert cache.get("model", "k") is None
         assert cache.misses["model"] == 1
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_entry_leaves_no_open_file(self, tmp_path, damage):
+        """Reading a damaged entry closes its file, even when the archive
+        parser fails after taking the handle."""
+        cache = SweepCache(tmp_path)
+        cache.put("model", "k", {"a": np.zeros(2)})
+        DAMAGE[damage](tmp_path / "model" / "k.npz")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert cache.get("model", "k") is None
+            gc.collect()
+        assert [str(w.message) for w in caught] == []
 
 
 class TestCacheKeys:
