@@ -30,9 +30,16 @@ the layer kernel, ``"fused"``
     The kernel consumes the **whole batch of input values** at once and
     returns the per-block digital totals directly, free to reorganise the
     entire pipeline for throughput.  It packs all bit planes into stacked
-    GEMM operands, runs one BLAS call per 32-row block against tables whose
-    four physical columns are pre-combined where the design allows it, and
-    quantises/combines/shift-adds with in-place array ops over
+    GEMM operands and runs one BLAS call per 32-row block and group against
+    tables that hold readout volts: the analog readout (CurFe's TIA gain
+    and virtual ground, ChgFe's charge-sharing average) is affine in the
+    0/1 inputs, so it is folded into the table, and the gemm plus one
+    offset add yields the column voltages (form A; CurFe then applies its
+    TIA clamp).  A ChgFe group whose bitlines some input can push to a rail
+    keeps the per-bitline readout (form B: one gemm, clip and capacitance
+    scaling per bitline, then the charge share); the rail rule that decides
+    it, from the tables alone, is in :func:`_fused_tables`.  The kernel
+    then quantises/combines/shift-adds with in-place array ops over
     cache-resident block slices.
 
 Exactness
@@ -46,15 +53,18 @@ product is exact — which makes it bit-identical across a tile grid and one
 padded macro, and to the per-cell row reduction it replaced
 (``tests/engine/test_plane_tables.py`` holds that oracle).
 
-``"fused"``'s BLAS reduction reorders the sums, but every floating-point
-difference it introduces lives in the analog voltage *before* ADC
-quantisation and is at ULP scale, far below an LSB (or the spacing of
-calibrated reference levels), so the quantised codes — and everything
-digital after them — are identical to ``"fast"`` and ``"exact"`` on both
-designs, calibrated and uncalibrated.  ``"exact"`` and ``"fast"`` stay as
-the oracles the tests compare ``"fused"`` against
-(``tests/chipsim/test_fused_kernel.py`` asserts ``array_equal``, including
-a ``hypothesis`` property over layer shapes and precisions).
+``"fused"``'s BLAS reduction reorders the sums, and its folded readout
+reorders the readout arithmetic, but every floating-point difference they
+introduce lives in the analog voltage *before* ADC quantisation and is a
+few float spacings (``tests/engine/test_plane_tables.py`` bounds it by 16),
+far below an LSB (or the spacing of calibrated reference levels), so the
+quantised codes — and everything digital after them — are identical to
+``"fast"`` and ``"exact"`` on both designs, calibrated and uncalibrated,
+unless a voltage lies within those spacings of a decision threshold.
+``"exact"`` and ``"fast"`` stay as the oracles the tests compare
+``"fused"`` against (``tests/chipsim/test_fused_kernel.py`` asserts
+``array_equal``, including a ``hypothesis`` property over layer shapes and
+precisions).
 
 The plane kernels convert voltages with the quantisers'
 ``quantize_voltages``; ``"fused"`` converts them into its own buffers, with
@@ -223,31 +233,104 @@ def _fast_reduce(engine, plane, key: str) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _fused_tables(engine, key: str) -> tuple:
-    """The ``"fused"`` gemm operands for the stored pattern of one group.
+#: Least distance (V) between every bitline voltage a ChgFe group's 0/1
+#: inputs can reach and a rail, for the group's readout to fold into its
+#: fused table; far above the ~1e-15 V rounding of the bound sums.
+RAIL_MARGIN = 1e-9
 
-    CurFe sums its four physical columns *before* the TIA, so the column
-    sum commutes (to ULP accuracy) with the row reduction and is folded
-    into the table: ``table`` is (num_block_rows, block_rows, banks) and
-    one gemm per block row yields the summed difference directly — a
-    quarter of the FLOPs of a per-column gemm and an output that fits in
-    cache.  ChgFe clips each bitline before charge sharing, so its four
-    columns stay separate: ``table`` is (4, num_block_rows, block_rows,
-    banks), one small gemm per column.  ``offsets`` carries the matching
-    unselected-row sums.
+
+def _fused_tables(engine, key: str) -> tuple:
+    """The ``"fused"`` operands for the stored pattern of one group, in volts.
+
+    The readout of a block is affine in its 0/1 inputs wherever no bitline
+    reaches a rail, so it folds into the table: ``table[j, r, b]``
+    is the readout voltage input row ``r`` of block row ``j`` adds to bank
+    ``b``, and ``offsets[j, b]`` the voltage at the all-zero input.  Tables
+    are (num_block_rows, block_rows, banks), offsets (num_block_rows,
+    banks), and one gemm plus one add yields a group's readout voltages
+    (form A):
+
+    * CurFe: ``table = Σ_c d_c·R_f``, ``offsets = Σ_c u_c·R_f + V_cm``,
+      with ``d_c`` the per-column selected-minus-unselected table, ``u_c``
+      the unselected-row sum, ``R_f`` the TIA feedback resistance and
+      ``V_cm`` its virtual ground.  The TIA clamp acts on the column sum,
+      so the kernel still clips the result.
+    * ChgFe: ``table = Σ_c d_c·C_c/C_tot``, ``offsets = Σ_c (u_c +
+      V_pre)·C_c/C_tot``: the charge-sharing average of the four bitlines,
+      whose per-bitline clip to ``[0, V_sup]`` is the identity when every
+      bitline stays inside the rails.
+
+    The rail rule decides that per ChgFe group: each (bank, block row,
+    bitline) is bounded over all 0/1 inputs by ``u_c + V_pre`` plus the sum
+    of its negative, resp. positive, ``d_c`` entries, and every bound must
+    lie inside ``(0, V_sup)`` by :data:`RAIL_MARGIN`.  A group that fails
+    it keeps the per-bitline readout (form B): ``table`` is the
+    (4, num_block_rows, block_rows, banks) stack of ``d_c`` and
+    ``offsets`` the (4, num_block_rows, banks) stack of ``u_c``, and the
+    kernel runs one gemm, clip and capacitance scaling per bitline before
+    the charge share.  ``table.ndim`` tells the forms apart; the
+    ``plan_build`` span records the group's bitline gemm count (1 or 4).
+
+    Exactness: the folded voltages differ from the ``"fast"`` kernel's by
+    float rounding only (a few float spacings: at most 4 over the four
+    scenarios at the paper's design point; the tests bound it by 16, with
+    the spacing taken at no less than ``V_cm`` or ``V_pre``, the reference
+    voltage both kernels add into every sum), the same class as
+    the BLAS reordering of the row sums that every fused voltage already
+    carries.  A code can differ only where a voltage lies within those
+    spacings of a decision threshold.
     """
     state = engine.state
-    with _plan_build(engine, "fused", key):
+    group = state.group(key)
+    with _plan_build(engine, "fused", key) as span:
         # (num_block_rows, block_rows, banks, 4), built uncached.
         difference = _difference_table(engine, key)
-        unselected_sum = state.group(key).unselected.sum(axis=2)  # (banks, R, 4)
+        unselected_sum = group.unselected.sum(axis=2)  # (banks, R, 4)
         if state.design == CURFE_DESIGN:
             table = difference.sum(axis=3)
-            offsets = np.ascontiguousarray(unselected_sum.sum(axis=2).T)
+            table *= group.feedback_resistance
+            offsets = unselected_sum.sum(axis=2).T * group.feedback_resistance
+            offsets += state.tia_virtual_ground
         else:
-            table = np.ascontiguousarray(difference.transpose(3, 0, 1, 2))
-            offsets = np.ascontiguousarray(unselected_sum.transpose(2, 1, 0))
-    return table, offsets
+            table, offsets = _chgfe_fused_tables(
+                state, group, difference, unselected_sum
+            )
+        span.set(gemms=1 if table.ndim == 3 else NUM_COLUMNS)
+    return table, np.ascontiguousarray(offsets)
+
+
+def _chgfe_fused_tables(state, group, difference, unselected_sum) -> tuple:
+    """A ChgFe group's fused operands: form A if the rail rule holds, else B.
+
+    *difference* is the group's (num_block_rows, block_rows, banks, 4)
+    table.
+    """
+    # Each bitline's voltage at the all-zero input, (R, banks, 4), and its
+    # range over every 0/1 input; one full-size temporary.
+    base = unselected_sum.transpose(1, 0, 2) + state.precharge_voltage
+    extreme = np.minimum(difference, 0.0)
+    low = base + extreme.sum(axis=1)
+    np.maximum(difference, 0.0, out=extreme)
+    high = base + extreme.sum(axis=1)
+    del extreme
+    if low.min() > RAIL_MARGIN and high.max() < state.sign_supply_voltage - RAIL_MARGIN:
+        weights = (
+            group.capacitance / group.capacitance_total[..., None]
+        ).transpose(1, 0, 2)
+        # Σ_c d_c·C_c/C_tot, bitline by bitline in column order: strided
+        # column passes cost a third of a product tensor and its reduction.
+        table = difference[..., 0] * weights[:, None, :, 0]
+        scaled = np.empty_like(table)
+        for column in range(1, NUM_COLUMNS):
+            np.multiply(
+                difference[..., column], weights[:, None, :, column], out=scaled
+            )
+            table += scaled
+        return table, (base * weights).sum(axis=2)
+    return (
+        np.ascontiguousarray(difference.transpose(3, 0, 1, 2)),
+        unselected_sum.transpose(2, 1, 0),
+    )
 
 
 _BUILD_TABLES = {"exact": _exact_tables, "fast": _fast_tables, "fused": _fused_tables}
@@ -276,16 +359,52 @@ def _quantize_macs_inplace(quantizer: MACQuantizer, buf: np.ndarray) -> None:
     np.add(buf, quantizer.mac_at_v_min, out=buf)
 
 
+def _fused_voltages(engine, key: str, operand, j: int, out, bitlines=None):
+    """Group *key*'s readout voltages of block row *j*, written into *out*.
+
+    *operand* holds one 0/1 input row of the block per row of *out*
+    (rows, banks).  A form A group (see :func:`_fused_tables`) is one gemm
+    and one add, plus the clamp on CurFe; a form B group reads each bitline
+    out into *bitlines* (four buffers shaped like *out*, allocated when not
+    given) and charge-shares them.
+    """
+    state = engine.state
+    table, offsets = kernel_tables(engine, "fused", key)
+    if table.ndim == 3:
+        np.matmul(operand, table[j], out=out)
+        np.add(out, offsets[j], out=out)
+        if state.design == CURFE_DESIGN:
+            np.clip(out, state.tia_clamp_low, state.tia_clamp_high, out=out)
+        return out
+    if bitlines is None:
+        bitlines = [np.empty_like(out) for _ in range(NUM_COLUMNS)]
+    group = state.group(key)
+    for column, line in enumerate(bitlines):
+        np.matmul(operand, table[column, j], out=line)
+        np.add(line, offsets[column, j], out=line)
+        np.add(line, state.precharge_voltage, out=line)
+        np.clip(line, 0.0, state.sign_supply_voltage, out=line)
+        np.multiply(line, group.capacitance[:, j, column], out=line)
+    # charge_share's length-4 reduction order, then the shared capacitance
+    # divide.
+    np.add(bitlines[0], bitlines[1], out=out)
+    np.add(out, bitlines[2], out=out)
+    np.add(out, bitlines[3], out=out)
+    np.divide(out, group.capacitance_total[:, j], out=out)
+    return out
+
+
 def fused_block_totals(engine, values: np.ndarray, bits: int) -> np.ndarray:
     """Whole-batch fused pipeline: per-block totals in one pass.
 
     All ``bits`` input bit planes are packed into one stacked operand whose
     per-block slice is a zero-copy (bits*batch, block_rows) gemm input;
-    each 32-row block then runs gemm → readout → ADC → nibble combine →
-    shift-add entirely on cache-resident (bits*batch, banks) buffers with
-    in-place array ops.  Output matches ``MacroEngine._block_totals_chunk``
-    of the ``"fast"`` and ``"exact"`` kernels bit for bit (see module
-    docstring).
+    each 32-row block then runs readout (:func:`_fused_voltages`: one gemm
+    against the group's volt table plus its offsets, or the per-bitline
+    readout of a form B group) → ADC → nibble combine → shift-add entirely
+    on cache-resident (bits*batch, banks) buffers with in-place array ops.
+    Output matches ``MacroEngine._block_totals_chunk`` of the ``"fast"``
+    and ``"exact"`` kernels bit for bit (see module docstring).
 
     Args:
         engine: A programmed :class:`~repro.engine.MacroEngine`.
@@ -300,7 +419,6 @@ def fused_block_totals(engine, values: np.ndarray, bits: int) -> np.ndarray:
     num_block_rows, block_rows = state.num_block_rows, state.block_rows
     banks = state.banks
     stacked_rows = bits * batch
-    curfe = state.design == CURFE_DESIGN
 
     # Bit planes, bit-major over the gemm row axis; planes[:, :, j, :]
     # reshaped to (bits*batch, block_rows) is a strided view BLAS consumes
@@ -314,9 +432,10 @@ def fused_block_totals(engine, values: np.ndarray, bits: int) -> np.ndarray:
 
     keys = ("high", "low") if engine.weight_bits == 8 else ("high",)
     macs = {key: np.empty((stacked_rows, banks)) for key in keys}
-    bitlines = (
-        None if curfe else [np.empty((stacked_rows, banks)) for _ in range(NUM_COLUMNS)]
-    )
+    # Bitline buffers of the form B groups (rail-reachable ChgFe) only.
+    bitlines = None
+    if any(kernel_tables(engine, "fused", key)[0].ndim == 4 for key in keys):
+        bitlines = [np.empty((stacked_rows, banks)) for _ in range(NUM_COLUMNS)]
     # A calibrated group's readout writes its voltages here, where they stay
     # while the table conversion fills its MAC buffer: the voltages of NaN
     # cells are converted from them.  A nominal group converts in place.
@@ -329,30 +448,9 @@ def fused_block_totals(engine, values: np.ndarray, bits: int) -> np.ndarray:
     for j in range(num_block_rows):
         operand = stacked[:, j, :]
         for key in keys:
-            group = state.group(key)
-            table, offsets = kernel_tables(engine, "fused", key)
             calibrated = engine._calibrated.get(key)
             out = macs[key] if calibrated is None else voltages
-            if curfe:
-                np.matmul(operand, table[j], out=out)
-                np.add(out, offsets[j], out=out)
-                np.multiply(out, group.feedback_resistance, out=out)
-                np.add(out, state.tia_virtual_ground, out=out)
-                np.clip(out, state.tia_clamp_low, state.tia_clamp_high, out=out)
-            else:
-                for column in range(NUM_COLUMNS):
-                    line = bitlines[column]
-                    np.matmul(operand, table[column, j], out=line)
-                    np.add(line, offsets[column, j], out=line)
-                    np.add(line, state.precharge_voltage, out=line)
-                    np.clip(line, 0.0, state.sign_supply_voltage, out=line)
-                    np.multiply(line, group.capacitance[:, j, column], out=line)
-                # charge_share's length-4 reduction order, then the shared
-                # capacitance divide.
-                np.add(bitlines[0], bitlines[1], out=out)
-                np.add(out, bitlines[2], out=out)
-                np.add(out, bitlines[3], out=out)
-                np.divide(out, group.capacitance_total[:, j], out=out)
+            _fused_voltages(engine, key, operand, j, out, bitlines)
             if calibrated is None:
                 _quantize_macs_inplace(engine._quantizers[key], out)
             else:

@@ -26,9 +26,11 @@ reproducible bit for bit: across a tile grid and one padded macro, and
 against the per-cell row reduction it replaced.  ``method="fused"``, the
 default of every entry point above this engine, hoists the whole pipeline
 to layer level — all bit planes packed into stacked BLAS gemm operands,
-readout/ADC/combine/shift-add as in-place array ops per 32-row block — and
-is bit-identical to ``fast`` and ``exact`` (the quantiser absorbs the
-ULP-scale voltage reordering of the gemm; the golden suite asserts it).
+the readout folded into volt tables where it is affine, ADC/combine/
+shift-add as in-place array ops per 32-row block — and is bit-identical to
+``fast`` and ``exact`` (the quantiser absorbs the few-spacing voltage
+reordering of the gemm and the folded readout; the golden suite asserts
+it).
 ``exact`` stays this class's own default as the bit-identity reference.
 The three kernels live in :mod:`repro.engine.kernels`, which also builds
 each kernel's operand tables into the engine's one table cache.
@@ -285,15 +287,17 @@ class MacroEngine:
         After this call the first request served by the engine runs the hot
         path only — no lazy table population: every group gets the kernel's
         tables (named in :data:`~repro.engine.kernels.KERNEL_TABLES`), and
-        every calibrated quantiser its direct-level table
+        for ``"fused"``, the one kernel that reads them, every calibrated
+        quantiser its direct-level table
         (:meth:`~repro.circuits.adc.CalibratedMACQuantizer.level_table`).
         """
         self._check_programmed()
         validate_device_exec(device_exec)
         for key in self._group_keys():
             kernels.kernel_tables(self, device_exec, key)
-        for quantizer in self._calibrated.values():
-            quantizer.level_table()
+        if device_exec == "fused":
+            for quantizer in self._calibrated.values():
+                quantizer.level_table()
 
     def export_kernel_plan(self, device_exec: str) -> Dict[str, np.ndarray]:
         """Precompile for *device_exec* and export the tables as flat arrays.
@@ -322,8 +326,8 @@ class MacroEngine:
         """Install exported kernel tables without recomputing them.
 
         *arrays* may be read-only shared-memory views; they are adopted
-        as-is (zero-copy).  Calibrated direct-level tables are rebuilt
-        locally via :meth:`precompile`.
+        as-is (zero-copy).  A ``"fused"`` plan's calibrated direct-level
+        tables are rebuilt locally via :meth:`precompile`.
         """
         self._check_programmed()
         names = KERNEL_TABLES[validate_device_exec(device_exec)]
@@ -432,8 +436,8 @@ class MacroEngine:
         if self._plan is None:
             raise RuntimeError("program_weights must be called before computing MACs")
 
-    def _convert_group(self, plane, key: str, method: str) -> np.ndarray:
-        """ADC-reported partial MACs of one group type for one bit plane.
+    def _plane_voltages(self, plane, key: str, method: str) -> np.ndarray:
+        """Readout voltages of one group type for one bit plane.
 
         Args:
             plane: Bit plane reshaped to (batch, num_block_rows, block_rows)
@@ -441,7 +445,8 @@ class MacroEngine:
             key: ``"high"`` or ``"low"``.
             method: A plane kernel, ``"exact"`` or ``"fast"``; its row
                 reduction produces the per-column analog contributions and
-                the shared readout pipeline below converts them.
+                the shared readout (TIA, or clip and charge sharing) below
+                turns them into column voltages.
 
         Returns:
             Array of shape (batch, banks, num_block_rows).
@@ -454,20 +459,27 @@ class MacroEngine:
             columns = kernels._fast_reduce(self, plane, key)
         if state.design == CURFE_DESIGN:
             summed = columns.sum(axis=-1)
-            voltages = np.clip(
+            return np.clip(
                 state.tia_virtual_ground + summed * group.feedback_resistance,
                 state.tia_clamp_low,
                 state.tia_clamp_high,
             )
-        else:
-            bitlines = np.clip(
-                state.precharge_voltage + columns, 0.0, state.sign_supply_voltage
-            )
-            voltages = charge_share(
-                bitlines,
-                group.capacitance[None],
-                group.capacitance_total[None],
-            )
+        bitlines = np.clip(
+            state.precharge_voltage + columns, 0.0, state.sign_supply_voltage
+        )
+        return charge_share(
+            bitlines,
+            group.capacitance[None],
+            group.capacitance_total[None],
+        )
+
+    def _convert_group(self, plane, key: str, method: str) -> np.ndarray:
+        """ADC-reported partial MACs of one group type for one bit plane.
+
+        The :meth:`_plane_voltages` of the plane, converted by the group's
+        quantiser; shape (batch, banks, num_block_rows).
+        """
+        voltages = self._plane_voltages(plane, key, method)
         quantizer = self._calibrated.get(key) or self._quantizers[key]
         with get_tracer().span(
             "adc_quantize", group=key, calibrated=key in self._calibrated

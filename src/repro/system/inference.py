@@ -492,10 +492,10 @@ class QuantizedInferenceEngine:
         """Eagerly build every kernel table the configured execution needs.
 
         Device backend: every layer engine materialises the operand tables
-        of ``config.device_exec`` and its calibrated quantisers' direct-level
-        tables, so the first request after :meth:`precompile` runs the hot
-        path only.  The functional backend has no lazy tables — no-op,
-        returns 0.
+        of ``config.device_exec`` and, for ``"fused"``, its calibrated
+        quantisers' direct-level tables, so the first request after
+        :meth:`precompile` runs the hot path only.  The functional backend
+        has no lazy tables — no-op, returns 0.
 
         Returns:
             The number of layers precompiled.

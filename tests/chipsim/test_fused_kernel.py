@@ -17,11 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chipsim import ChipSimulator
+from repro.chipsim.scenarios import get_scenario
 from repro.chipsim.tiling import TiledLayerEngine
 from repro.core.macro import IMCMacroConfig
 from repro.devices.variation import DEFAULT_VARIATION, NO_VARIATION
 from repro.engine.array_state import ArrayState
 from repro.engine.macro_engine import MacroEngine
+from repro.obs.tracer import Tracer, set_tracer
 from repro.quant.quantize import signed_range
 from repro.serve import ChipProgram, ServeConfig, ServeRuntime
 from repro.system.inference import InferenceConfig, QuantizedInferenceEngine
@@ -187,6 +190,29 @@ class TestScenarioBitIdentity:
             )
             logits[device_exec] = engine.forward(small_images)
         assert np.array_equal(logits["fused"], logits["fast"])
+
+
+class TestReadoutFoldsAtTheDesignPoint:
+    def test_every_chgfe_scenario_group_folds_its_readout(self):
+        """At the paper's design point (σ_Vth 40 mV) no 0/1 input takes a
+        ChgFe bitline to a rail in any scenario, so every group's readout
+        folds into its fused table: one bitline gemm per block, as each
+        ``plan_build`` span records.  A silent fall back to the
+        per-bitline form would show here.  (CurFe groups always fold.)"""
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            for scenario in ("tiny_mlp", "small_cnn", "deep_cnn", "wide_mlp"):
+                simulator = ChipSimulator(
+                    get_scenario(scenario).build(seed=0), design="chgfe",
+                    device_exec="fused", variation=DEFAULT_VARIATION,
+                )
+                simulator.inference.precompile()
+        finally:
+            set_tracer(previous)
+        builds = [span for span in tracer.spans() if span["name"] == "plan_build"]
+        assert len(builds) == 2 * 14  # high and low groups of 14 weight layers
+        assert {span["attrs"]["gemms"] for span in builds} == {1}
 
 
 class TestFusedServing:

@@ -333,6 +333,9 @@ class TestPrecompiledPlanInvalidation:
         assert not engine._tables
         engine.precompile("fast")
         assert set(engine._tables) == {("fast", key) for key in ("high", "low")}
+        # Plane kernels convert through quantize_voltages: no level table.
+        for quantizer in engine._calibrated.values():
+            assert quantizer._level_table is None
         engine.precompile("fused")
         assert set(engine._tables) == {
             (kernel, key) for kernel in ("fast", "fused") for key in ("high", "low")
