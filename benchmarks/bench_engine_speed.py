@@ -6,10 +6,10 @@ arrays :class:`repro.engine.MacroEngine` — single-vector ``matvec`` (bit-
 identical results) and batched ``matmat`` in both its exact and fast
 reduction modes — and writes the measurements to ``BENCH_engine.json`` at
 the repository root to seed the performance trajectory.  It also times
-CurFe cell characterisation (:meth:`ArrayState.build` with device variation)
-at deep_cnn's fc-layer shape, the cold-start cost of a device-detailed
-layer, in both modes, and the first-batch ADC reference calibration
-(:func:`reference_levels_for_plan`) of one group at that shape.
+CurFe and ChgFe cell characterisation (:meth:`ArrayState.build` with device
+variation) at deep_cnn's fc-layer shape, the cold-start cost of a
+device-detailed layer, in both modes, and the first-batch ADC reference
+calibration (:func:`reference_levels_for_plan`) of one group at that shape.
 
 Set ``REPRO_BENCH_TINY=1`` for a seconds-scale smoke run (CI): a smaller
 array, fewer repeats, and no speedup assertions (Python call overhead
@@ -82,12 +82,12 @@ def median_seconds(callable_, repeats):
     return float(np.median(samples))
 
 
-def time_characterisation():
-    """(cells, fastest seconds) of variation-sampled CurFe ``ArrayState.build``s."""
+def time_characterisation(design):
+    """(cells, fastest seconds) of variation-sampled ``ArrayState.build``s."""
     samples = []
     for _ in range(CHARACTERISE_REPEATS):
         start = time.perf_counter()
-        state = ArrayState.build("curfe", CHARACTERISE_CONFIG)
+        state = ArrayState.build(design, CHARACTERISE_CONFIG)
         samples.append(time.perf_counter() - start)
     return state.high.on.size + state.low.on.size, min(samples)
 
@@ -124,7 +124,8 @@ def time_calibration():
 
 
 def run_measurements():
-    cells, characterise_s = time_characterisation()
+    cells, characterise_s = time_characterisation("curfe")
+    chgfe_cells, chgfe_characterise_s = time_characterisation("chgfe")
     calibrate_samples, calibrate_s = time_calibration()
     macro, rng = build_macro()
     config = macro.config
@@ -168,6 +169,7 @@ def run_measurements():
         "speedup_matmat_fast": legacy_matvec / engine_matmat_fast,
         "characterise_cells": cells,
         "characterise_cells_per_s": cells / characterise_s,
+        "chgfe_characterise_cells_per_s": chgfe_cells / chgfe_characterise_s,
         "calibrate_samples": calibrate_samples,
         "calibrate_samples_per_s": calibrate_samples / calibrate_s,
     }
@@ -191,6 +193,8 @@ def test_engine_speedup(benchmark):
                 f"({record['speedup_matmat_fast']:.1f}x)",
                 f"characterise (curfe):     {record['characterise_cells']} cells at "
                 f"{record['characterise_cells_per_s'] / 1e3:.0f}k cells/s",
+                f"characterise (chgfe):     "
+                f"{record['chgfe_characterise_cells_per_s'] / 1e3:.0f}k cells/s",
                 f"calibrate (5b ADC):       {record['calibrate_samples']} samples at "
                 f"{record['calibrate_samples_per_s'] / 1e6:.1f}M samples/s",
                 f"record: {RECORD_PATH}",

@@ -33,6 +33,7 @@ ENGINE_SCHEMA = {
     "speedup_matmat_fast": float,
     "characterise_cells": int,
     "characterise_cells_per_s": float,
+    "chgfe_characterise_cells_per_s": float,
     "calibrate_samples": int,
     "calibrate_samples_per_s": float,
 }

@@ -1,27 +1,17 @@
 """Behavioural analog simulation substrate: waveforms, transients, Monte-Carlo."""
 
-from .montecarlo import MonteCarloResult, MonteCarloRunner
-from .transient import (
-    CurrentIntegration,
-    ExponentialSettle,
-    Hold,
-    LinearRamp,
-    NodeUpdate,
-    Phase,
-    TransientEngine,
-)
-from .waveform import Waveform, WaveformBundle
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MonteCarloResult",
-    "MonteCarloRunner",
-    "CurrentIntegration",
-    "ExponentialSettle",
-    "Hold",
-    "LinearRamp",
-    "NodeUpdate",
-    "Phase",
-    "TransientEngine",
-    "Waveform",
-    "WaveformBundle",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".montecarlo": ("MonteCarloResult", "MonteCarloRunner"),
+    ".transient": (
+        "CurrentIntegration",
+        "ExponentialSettle",
+        "Hold",
+        "LinearRamp",
+        "NodeUpdate",
+        "Phase",
+        "TransientEngine",
+    ),
+    ".waveform": ("Waveform", "WaveformBundle"),
+})

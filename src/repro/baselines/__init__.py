@@ -1,27 +1,17 @@
 """Comparison baselines: published SOTA macros and conventional shift-add schemes."""
 
-from .analog_shift_add import AnalogShiftAddParameters, AnalogShiftAddUnit
-from .designs import (
-    PAPER_CHGFE,
-    PAPER_CURFE,
-    PUBLISHED_DESIGNS,
-    DesignRecord,
-    best_reram_baseline,
-    best_sram_baseline,
-    efficiency_ratios,
-)
-from .digital_shift_add import DigitalShiftAddParameters, DigitalShiftAddUnit
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AnalogShiftAddParameters",
-    "AnalogShiftAddUnit",
-    "PAPER_CHGFE",
-    "PAPER_CURFE",
-    "PUBLISHED_DESIGNS",
-    "DesignRecord",
-    "best_reram_baseline",
-    "best_sram_baseline",
-    "efficiency_ratios",
-    "DigitalShiftAddParameters",
-    "DigitalShiftAddUnit",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".analog_shift_add": ("AnalogShiftAddParameters", "AnalogShiftAddUnit"),
+    ".designs": (
+        "PAPER_CHGFE",
+        "PAPER_CURFE",
+        "PUBLISHED_DESIGNS",
+        "DesignRecord",
+        "best_reram_baseline",
+        "best_sram_baseline",
+        "efficiency_ratios",
+    ),
+    ".digital_shift_add": ("DigitalShiftAddParameters", "DigitalShiftAddUnit"),
+})

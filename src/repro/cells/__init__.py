@@ -1,24 +1,16 @@
 """Bit-cell models for the CurFe (1nFeFET1R) and ChgFe (1nFeFET / 1pFeFET) arrays."""
 
-from .chgfe_cell import (
-    CHGFE_NFEFET_PARAMS,
-    CHGFE_PFEFET_PARAMS,
-    ChgFeCellParameters,
-    ChgFeNCell,
-    ChgFePCell,
-    calibrated_nfefet_vth_states,
-    calibrated_pfefet_on_vth,
-)
-from .curfe_cell import CurFeCell, CurFeCellParameters
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CHGFE_NFEFET_PARAMS",
-    "CHGFE_PFEFET_PARAMS",
-    "ChgFeCellParameters",
-    "ChgFeNCell",
-    "ChgFePCell",
-    "calibrated_nfefet_vth_states",
-    "calibrated_pfefet_on_vth",
-    "CurFeCell",
-    "CurFeCellParameters",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".chgfe_cell": (
+        "CHGFE_NFEFET_PARAMS",
+        "CHGFE_PFEFET_PARAMS",
+        "ChgFeCellParameters",
+        "ChgFeNCell",
+        "ChgFePCell",
+        "calibrated_nfefet_vth_states",
+        "calibrated_pfefet_on_vth",
+    ),
+    ".curfe_cell": ("CurFeCell", "CurFeCellParameters"),
+})

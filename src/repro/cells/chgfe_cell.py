@@ -42,7 +42,6 @@ __all__ = [
     "ChgFePCell",
     "calibrated_nfefet_vth_states",
     "calibrated_pfefet_on_vth",
-    "characterise_chgfe_cells",
     "characterise_chgfe_group",
 ]
 
@@ -166,63 +165,6 @@ def calibrated_pfefet_on_vth(params: ChgFeCellParameters) -> float:
     )
 
 
-def characterise_chgfe_cells(
-    vth_offsets,
-    *,
-    significance,
-    is_sign_cell,
-    params: ChgFeCellParameters,
-    stored_bit: int = 1,
-    input_bit: int = 1,
-) -> np.ndarray:
-    """Vectorised bitline ΔV contributions for a tensor of ChgFe cells (V).
-
-    All array arguments broadcast together.  Data positions are evaluated as
-    MLC 1nFeFETs discharging the pre-charged bitline (negative ΔV), sign
-    positions as the SLC 1pFeFET charging it from ``VDDq`` (positive ΔV) —
-    the same maths as :meth:`ChgFeNCell.bitline_delta_v` and
-    :meth:`ChgFePCell.bitline_delta_v` per device, so both paths agree bit
-    for bit.
-    """
-    if stored_bit not in (0, 1) or input_bit not in (0, 1):
-        raise ValueError("stored_bit and input_bit must be 0 or 1")
-    vth_offsets = np.asarray(vth_offsets, dtype=float)
-    significance = np.asarray(significance)
-    is_sign_cell = np.asarray(is_sign_cell, dtype=bool)
-    vth_offsets, significance, is_sign_cell = np.broadcast_arrays(
-        vth_offsets, significance, is_sign_cell
-    )
-
-    # Data (nFeFET) branch: calibrated low-Vth '1' states per significance.
-    n_states = np.asarray(calibrated_nfefet_vth_states(params), dtype=float)
-    n_state_vth = n_states[significance] if stored_bit == 1 else params.off_vth_n
-    n_gate = params.read_voltage if input_bit == 1 else params.idle_voltage
-    n_current = fefet_drain_current(
-        n_gate,
-        params.precharge_voltage,
-        0.0,
-        n_state_vth + vth_offsets,
-        params.nfefet_params,
-    )
-    n_delta_v = -n_current * params.mac_time / params.bitline_capacitance
-
-    # Sign (pFeFET) branch: '1' is the calibrated conducting high-Vth state.
-    p_state_vth = (
-        calibrated_pfefet_on_vth(params) if stored_bit == 1 else params.off_vth_p
-    )
-    p_gate = params.sign_read_voltage if input_bit == 1 else params.sign_idle_voltage
-    p_current = fefet_drain_current(
-        p_gate,
-        params.precharge_voltage,
-        params.sign_supply_voltage,
-        p_state_vth + vth_offsets,
-        params.pfefet_params,
-    )
-    p_delta_v = p_current * params.mac_time / params.bitline_capacitance
-
-    return np.where(is_sign_cell, p_delta_v, n_delta_v)
-
-
 def characterise_chgfe_group(
     vth_offsets,
     *,
@@ -236,16 +178,53 @@ def characterise_chgfe_group(
     Returns ``(on, off_selected, unselected)`` — the single
     characterisation entry point shared by the detailed blocks and
     :meth:`repro.engine.ArrayState.build`.
+
+    Each column runs only its own FeFET model: data columns the MLC
+    1nFeFET discharging the pre-charged bitline (negative ΔV), the sign
+    column the SLC 1pFeFET charging it from ``VDDq`` (positive ΔV).  The
+    model is elementwise and the maths is that of
+    :meth:`ChgFeNCell.bitline_delta_v` and :meth:`ChgFePCell.bitline_delta_v`
+    per device, so both paths agree bit for bit.
     """
-    is_sign = np.zeros(4, dtype=bool)
-    is_sign[-1] = signed
-    kwargs = dict(significance=np.arange(4), is_sign_cell=is_sign, params=params)
-    return tuple(
-        characterise_chgfe_cells(
-            vth_offsets, stored_bit=stored, input_bit=selected, **kwargs
+    vth_offsets = np.asarray(vth_offsets, dtype=float)
+    data = slice(0, 3 if signed else 4)
+    data_offsets = vth_offsets[..., data]
+    n_states = np.asarray(calibrated_nfefet_vth_states(params), dtype=float)[data]
+    tables = []
+    for stored_bit, input_bit in ((1, 1), (0, 1), (1, 0)):
+        table = np.empty(vth_offsets.shape)
+        # Data (nFeFET) columns: calibrated low-Vth '1' states per significance.
+        n_state_vth = n_states if stored_bit == 1 else params.off_vth_n
+        n_gate = params.read_voltage if input_bit == 1 else params.idle_voltage
+        n_current = fefet_drain_current(
+            n_gate,
+            params.precharge_voltage,
+            0.0,
+            n_state_vth + data_offsets,
+            params.nfefet_params,
         )
-        for stored, selected in ((1, 1), (0, 1), (1, 0))
-    )
+        # -I·t/C, in place: the current is a fresh array.
+        np.negative(n_current, out=n_current)
+        np.multiply(n_current, params.mac_time, out=n_current)
+        np.divide(n_current, params.bitline_capacitance, out=table[..., data])
+        if signed:
+            # Sign (pFeFET) column: '1' is the calibrated conducting high-Vth state.
+            p_state_vth = (
+                calibrated_pfefet_on_vth(params) if stored_bit == 1 else params.off_vth_p
+            )
+            p_gate = (
+                params.sign_read_voltage if input_bit == 1 else params.sign_idle_voltage
+            )
+            p_current = fefet_drain_current(
+                p_gate,
+                params.precharge_voltage,
+                params.sign_supply_voltage,
+                p_state_vth + vth_offsets[..., 3],
+                params.pfefet_params,
+            )
+            table[..., 3] = p_current * params.mac_time / params.bitline_capacitance
+        tables.append(table)
+    return tuple(tables)
 
 
 class ChgFeNCell:

@@ -9,34 +9,21 @@ mapping (:mod:`repro.chipsim.simulator`).  :mod:`repro.chipsim.scenarios`
 provides networks large enough to exercise multi-tile mapping.
 """
 
-from ..system.activity import LayerActivity
-from .scenarios import (
-    SCENARIOS,
-    Scenario,
-    ScenarioWorkload,
-    deep_cnn,
-    get_scenario,
-    register_scenario,
-    small_cnn,
-    tiny_mlp,
-    wide_mlp,
-)
-from .simulator import ChipReport, ChipSimulator, network_spec_from_model
-from .tiling import TiledLayerEngine
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LayerActivity",
-    "SCENARIOS",
-    "Scenario",
-    "ScenarioWorkload",
-    "deep_cnn",
-    "get_scenario",
-    "register_scenario",
-    "small_cnn",
-    "tiny_mlp",
-    "wide_mlp",
-    "ChipReport",
-    "ChipSimulator",
-    "network_spec_from_model",
-    "TiledLayerEngine",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "..system.activity": ("LayerActivity",),
+    ".scenarios": (
+        "SCENARIOS",
+        "Scenario",
+        "ScenarioWorkload",
+        "deep_cnn",
+        "get_scenario",
+        "register_scenario",
+        "small_cnn",
+        "tiny_mlp",
+        "wide_mlp",
+    ),
+    ".simulator": ("ChipReport", "ChipSimulator", "network_spec_from_model"),
+    ".tiling": ("TiledLayerEngine",),
+})

@@ -1,31 +1,12 @@
-"""Peripheral circuit substrate: TIA, SAR ADC, TGs, PCTs, accumulators, drivers."""
+"""Peripheral circuit substrate: TIA, SAR ADC, PCTs, accumulators, drivers."""
 
-from .accumulator import AccumulationModule, AccumulatorParameters
-from .adc import ADCMode, ADCParameters, CalibratedMACQuantizer, MACQuantizer, SARADC
-from .precharge import PrechargeCircuit, PrechargeParameters
-from .reference_bank import ReferenceBank, ReferenceBankParameters
-from .switch_matrix import SwitchMatrix, SwitchMatrixParameters
-from .tia import TIAParameters, TransimpedanceAmplifier
-from .transmission_gate import TransmissionGate
-from .wordline_driver import WordlineDriver, WordlineDriverParameters
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AccumulationModule",
-    "AccumulatorParameters",
-    "ADCMode",
-    "ADCParameters",
-    "CalibratedMACQuantizer",
-    "MACQuantizer",
-    "SARADC",
-    "PrechargeCircuit",
-    "PrechargeParameters",
-    "ReferenceBank",
-    "ReferenceBankParameters",
-    "SwitchMatrix",
-    "SwitchMatrixParameters",
-    "TIAParameters",
-    "TransimpedanceAmplifier",
-    "TransmissionGate",
-    "WordlineDriver",
-    "WordlineDriverParameters",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".accumulator": ("AccumulationModule", "AccumulatorParameters"),
+    ".adc": ("ADCMode", "ADCParameters", "CalibratedMACQuantizer", "MACQuantizer", "SARADC"),
+    ".precharge": ("PrechargeCircuit", "PrechargeParameters"),
+    ".reference_bank": ("ReferenceBank", "ReferenceBankParameters"),
+    ".tia": ("TIAParameters", "TransimpedanceAmplifier"),
+    ".wordline_driver": ("WordlineDriver", "WordlineDriverParameters"),
+})

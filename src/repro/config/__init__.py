@@ -10,11 +10,14 @@ Two layers compose:
   ``extends`` overlay merging, ``${var}`` interpolation, and dotted
   ``--set key=value`` overrides.
 
+Nothing is imported eagerly: the domain packages import
+:mod:`repro.config.schema` for their config dataclasses, and every such
+import runs this ``__init__`` first, so it must cost nothing.  The names
+below load from their submodule on first access.
+
 :mod:`repro.config.documents` binds the two: the top-level ``kind: run |
-sweep | serve`` document schemas the ``python -m repro`` CLI
-consumes.  It is intentionally *not* imported here — documents imports the
-domain packages (which themselves import this package for their schemas),
-so the eager import would be circular.  Use
+sweep | serve`` document schemas the ``python -m repro`` CLI consumes.  It
+is not exported here, because it imports the domain packages; use
 ``from repro.config.documents import parse_document``.
 
 ## Naming convention (all config surfaces)
@@ -25,36 +28,24 @@ so the eager import would be circular.  Use
   explicit budgets (``queue_depth``, ``max_batch``).
 """
 
-from .loader import (
-    apply_overrides,
-    deep_merge,
-    dump_yaml,
-    interpolate,
-    load_config,
-    loads_config,
-    parse_override,
-)
-from .schema import (
-    REQUIRED,
-    ConfigError,
-    ConfigSchema,
-    FieldSpec,
-    UnknownKeyError,
-    suggest,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "REQUIRED",
-    "ConfigError",
-    "ConfigSchema",
-    "FieldSpec",
-    "UnknownKeyError",
-    "suggest",
-    "apply_overrides",
-    "deep_merge",
-    "dump_yaml",
-    "interpolate",
-    "load_config",
-    "loads_config",
-    "parse_override",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".schema": (
+        "REQUIRED",
+        "ConfigError",
+        "ConfigSchema",
+        "FieldSpec",
+        "UnknownKeyError",
+        "suggest",
+    ),
+    ".loader": (
+        "apply_overrides",
+        "deep_merge",
+        "dump_yaml",
+        "interpolate",
+        "load_config",
+        "loads_config",
+        "parse_override",
+    ),
+})

@@ -11,70 +11,36 @@ Layering inside the package:
 * :mod:`transients` — builders for the paper's transient MAC examples.
 """
 
-from .bank import BankConversion, IMCBank, build_mac_quantizer
-from .chgfe import ChgFeBlock, ChgFeBlockConfig
-from .curfe import CurFeBlock, CurFeBlockConfig
-from .dataflow import (
-    bit_serial_matvec,
-    blocked_matvec,
-    ideal_matvec,
-    nibble_decomposed_matvec,
-)
-from .functional import (
-    CHGFE_DESIGN,
-    CURFE_DESIGN,
-    IDEAL_DESIGN,
-    FunctionalIMCModel,
-    FunctionalModelConfig,
-    SignificanceSigmas,
-    estimate_relative_current_sigmas,
-)
-from .inputs import InputVector
-from .macro import ChgFeMacro, CurFeMacro, IMCMacro, IMCMacroConfig
-from .readout import ChgFeReadout, CurFeReadout, MACRange, mac_range_for_group
-from .transients import TransientSummary, chgfe_mac_transient, curfe_mac_transient
-from .weights import (
-    WeightPlan,
-    bits_to_nibble,
-    decode_weight_plan,
-    encode_weight_matrix,
-    nibble_to_bits,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BankConversion",
-    "IMCBank",
-    "build_mac_quantizer",
-    "ChgFeBlock",
-    "ChgFeBlockConfig",
-    "CurFeBlock",
-    "CurFeBlockConfig",
-    "bit_serial_matvec",
-    "blocked_matvec",
-    "ideal_matvec",
-    "nibble_decomposed_matvec",
-    "CHGFE_DESIGN",
-    "CURFE_DESIGN",
-    "IDEAL_DESIGN",
-    "FunctionalIMCModel",
-    "FunctionalModelConfig",
-    "SignificanceSigmas",
-    "estimate_relative_current_sigmas",
-    "InputVector",
-    "ChgFeMacro",
-    "CurFeMacro",
-    "IMCMacro",
-    "IMCMacroConfig",
-    "ChgFeReadout",
-    "CurFeReadout",
-    "MACRange",
-    "mac_range_for_group",
-    "TransientSummary",
-    "chgfe_mac_transient",
-    "curfe_mac_transient",
-    "WeightPlan",
-    "bits_to_nibble",
-    "decode_weight_plan",
-    "encode_weight_matrix",
-    "nibble_to_bits",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".bank": ("BankConversion", "IMCBank", "build_mac_quantizer"),
+    ".chgfe": ("ChgFeBlock", "ChgFeBlockConfig"),
+    ".curfe": ("CurFeBlock", "CurFeBlockConfig"),
+    ".dataflow": (
+        "bit_serial_matvec",
+        "blocked_matvec",
+        "ideal_matvec",
+        "nibble_decomposed_matvec",
+    ),
+    ".functional": (
+        "CHGFE_DESIGN",
+        "CURFE_DESIGN",
+        "IDEAL_DESIGN",
+        "FunctionalIMCModel",
+        "FunctionalModelConfig",
+        "SignificanceSigmas",
+        "estimate_relative_current_sigmas",
+    ),
+    ".inputs": ("InputVector",),
+    ".macro": ("ChgFeMacro", "CurFeMacro", "IMCMacro", "IMCMacroConfig"),
+    ".readout": ("ChgFeReadout", "CurFeReadout", "MACRange", "mac_range_for_group"),
+    ".transients": ("TransientSummary", "chgfe_mac_transient", "curfe_mac_transient"),
+    ".weights": (
+        "WeightPlan",
+        "bits_to_nibble",
+        "decode_weight_plan",
+        "encode_weight_matrix",
+        "nibble_to_bits",
+    ),
+})

@@ -5,55 +5,28 @@ above it (cells, circuits, macros, system model) consumes the device models
 defined here.
 """
 
-from .fefet import (
-    DEFAULT_NFEFET_PARAMS,
-    DEFAULT_PFEFET_PARAMS,
-    FeFET,
-    FeFETParameters,
-    calibrate_vth_for_on_current,
-    make_mlc_nfefet,
-    make_slc_nfefet,
-    make_slc_pfefet,
-    mlc_states_from_write_voltages,
-)
-from .mosfet import MOSFETParameters, MOSSwitch, TECH_40NM_NMOS, TECH_40NM_PMOS
-from .passives import (
-    CHGFE_BITLINE_CAPACITANCE,
-    CURFE_BASE_RESISTANCE,
-    Capacitor,
-    Resistor,
-    binary_weighted_resistors,
-)
-from .preisach import PreisachFerroelectric, PreisachParameters
-from .variation import DEFAULT_VARIATION, NO_VARIATION, VariationModel
-from .write import FeFETWriteScheme, WritePulse, WriteResult, WriteSchemeParameters
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_NFEFET_PARAMS",
-    "DEFAULT_PFEFET_PARAMS",
-    "FeFET",
-    "FeFETParameters",
-    "calibrate_vth_for_on_current",
-    "make_mlc_nfefet",
-    "make_slc_nfefet",
-    "make_slc_pfefet",
-    "mlc_states_from_write_voltages",
-    "MOSFETParameters",
-    "MOSSwitch",
-    "TECH_40NM_NMOS",
-    "TECH_40NM_PMOS",
-    "CHGFE_BITLINE_CAPACITANCE",
-    "CURFE_BASE_RESISTANCE",
-    "Capacitor",
-    "Resistor",
-    "binary_weighted_resistors",
-    "PreisachFerroelectric",
-    "PreisachParameters",
-    "DEFAULT_VARIATION",
-    "NO_VARIATION",
-    "VariationModel",
-    "FeFETWriteScheme",
-    "WritePulse",
-    "WriteResult",
-    "WriteSchemeParameters",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".fefet": (
+        "DEFAULT_NFEFET_PARAMS",
+        "DEFAULT_PFEFET_PARAMS",
+        "FeFET",
+        "FeFETParameters",
+        "calibrate_vth_for_on_current",
+        "make_mlc_nfefet",
+        "make_slc_nfefet",
+        "make_slc_pfefet",
+        "mlc_states_from_write_voltages",
+    ),
+    ".mosfet": ("MOSFETParameters", "MOSSwitch", "TECH_40NM_NMOS", "TECH_40NM_PMOS"),
+    ".passives": (
+        "CHGFE_BITLINE_CAPACITANCE",
+        "CURFE_BASE_RESISTANCE",
+        "Capacitor",
+        "Resistor",
+        "binary_weighted_resistors",
+    ),
+    ".preisach": ("PreisachFerroelectric", "PreisachParameters"),
+    ".variation": ("DEFAULT_VARIATION", "NO_VARIATION", "VariationModel"),
+})

@@ -158,10 +158,16 @@ def fefet_bias_factor(vg, vs, vth, params: FeFETParameters) -> np.ndarray:
         # pFeFET: conduction for Vgs below Vth (i.e. Vsg above |Vth|).
         overdrive = vth - vgs
     # Smooth subthreshold-to-strong-inversion interpolation with a
-    # numerically safe softplus.
-    x = overdrive / (n * vt)
-    softplus = np.where(x > 40.0, x, np.log1p(np.exp(np.minimum(x, 40.0))))
-    return p.transconductance * (n * vt) ** 2 * softplus * softplus
+    # numerically safe softplus, in place: the overdrive is a fresh array,
+    # so ``x`` and ``softplus`` are the only float buffers a whole-array
+    # characterisation allocates.
+    x = np.asarray(overdrive)
+    np.divide(x, n * vt, out=x)
+    softplus = np.minimum(x, 40.0, out=np.empty_like(x))
+    np.log1p(np.exp(softplus, out=softplus), out=softplus)
+    np.copyto(softplus, x, where=x > 40.0)
+    np.multiply(p.transconductance * (n * vt) ** 2, softplus, out=x)
+    return np.multiply(x, softplus, out=x)
 
 
 def fefet_current_from_factor(

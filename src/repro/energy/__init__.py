@@ -1,47 +1,30 @@
 """Energy, latency, area, and technology-scaling models."""
 
-from .circuit_energy import (
-    PRECISION_SWEEP,
-    CircuitEnergyModel,
-    EfficiencyPoint,
-    EnergyBreakdown,
-    efficiency_sweep,
-)
-from .components import (
-    CHGFE_AREA,
-    CHGFE_ENERGY,
-    CHGFE_TIMING,
-    CURFE_AREA,
-    CURFE_ENERGY,
-    CURFE_TIMING,
-    MacroAreaParameters,
-    MacroEnergyParameters,
-    MacroTimingParameters,
-)
-from .technology import (
-    REFERENCE_NODE_NM,
-    TechnologyNode,
-    scale_efficiency_to_node,
-    scale_energy_to_node,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PRECISION_SWEEP",
-    "CircuitEnergyModel",
-    "EfficiencyPoint",
-    "EnergyBreakdown",
-    "efficiency_sweep",
-    "CHGFE_AREA",
-    "CHGFE_ENERGY",
-    "CHGFE_TIMING",
-    "CURFE_AREA",
-    "CURFE_ENERGY",
-    "CURFE_TIMING",
-    "MacroAreaParameters",
-    "MacroEnergyParameters",
-    "MacroTimingParameters",
-    "REFERENCE_NODE_NM",
-    "TechnologyNode",
-    "scale_efficiency_to_node",
-    "scale_energy_to_node",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".circuit_energy": (
+        "PRECISION_SWEEP",
+        "CircuitEnergyModel",
+        "EfficiencyPoint",
+        "EnergyBreakdown",
+        "efficiency_sweep",
+    ),
+    ".components": (
+        "CHGFE_AREA",
+        "CHGFE_ENERGY",
+        "CHGFE_TIMING",
+        "CURFE_AREA",
+        "CURFE_ENERGY",
+        "CURFE_TIMING",
+        "MacroAreaParameters",
+        "MacroEnergyParameters",
+        "MacroTimingParameters",
+    ),
+    ".technology": (
+        "REFERENCE_NODE_NM",
+        "TechnologyNode",
+        "scale_efficiency_to_node",
+        "scale_energy_to_node",
+    ),
+})

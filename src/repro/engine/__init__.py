@@ -7,65 +7,29 @@ products fully vectorised across banks, block rows, bit planes, and batch
 (:class:`MacroEngine`) — through the *same* variation, readout and ADC maths
 as the legacy loop, bit for bit.
 
-:mod:`repro.engine.readout_core` holds the shared 2CM/N2CM/shift-add
-arithmetic and is imported eagerly (it has no intra-package dependencies);
-the heavier classes are loaded lazily to keep the import graph acyclic
-(``circuits`` modules import :mod:`readout_core`, while the engine classes
-import ``circuits`` and ``core`` modules).
+Nothing is imported eagerly.  Other modules import engine submodules by
+path: ``circuits`` and ``core`` import :mod:`repro.engine.readout_core`
+(the shared 2CM/N2CM/shift-add maths), the config dataclasses import
+:mod:`repro.engine.kernels` (the kernel names), and each such import runs
+this ``__init__`` first.  Had it imported the engine classes, which import
+``circuits`` and ``core`` in turn, the ``readout_core`` imports would form
+a cycle, and every config would also load the shared-memory arena and its
+``multiprocessing`` machinery.  Each name below loads its submodule on
+first access.
 """
 
-from . import readout_core
-from .readout_core import (
-    adc_raw_codes,
-    charge_share,
-    codes_to_mac,
-    combine_nibbles,
-    shift_add_planes,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "readout_core",
-    "adc_raw_codes",
-    "charge_share",
-    "codes_to_mac",
-    "combine_nibbles",
-    "shift_add_planes",
-    "ArrayState",
-    "GroupArrays",
-    "MacroEngine",
-    "KERNEL_TABLES",
-    "validate_device_exec",
-    "ArenaManifest",
-    "SharedArena",
-    "host_shared_arrays",
-    "shm_available",
-]
-
-_SHM_API = (
-    "ArenaManifest",
-    "SharedArena",
-    "host_shared_arrays",
-    "shm_available",
-)
-
-_KERNEL_API = ("KERNEL_TABLES", "validate_device_exec")
-
-
-def __getattr__(name):
-    if name in ("ArrayState", "GroupArrays"):
-        from . import array_state
-
-        return getattr(array_state, name)
-    if name == "MacroEngine":
-        from .macro_engine import MacroEngine
-
-        return MacroEngine
-    if name in _KERNEL_API:
-        from . import kernels
-
-        return getattr(kernels, name)
-    if name in _SHM_API:
-        from . import shm
-
-        return getattr(shm, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".readout_core": (
+        "adc_raw_codes",
+        "charge_share",
+        "codes_to_mac",
+        "combine_nibbles",
+        "shift_add_planes",
+    ),
+    ".array_state": ("ArrayState", "GroupArrays"),
+    ".macro_engine": ("MacroEngine",),
+    ".kernels": ("KERNEL_TABLES", "validate_device_exec"),
+    ".shm": ("ArenaManifest", "SharedArena", "host_shared_arrays", "shm_available"),
+})

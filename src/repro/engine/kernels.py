@@ -171,24 +171,24 @@ def _difference_table(engine, key: str) -> np.ndarray:
 
     Shape (num_block_rows, block_rows, banks, 4), contiguous: entry
     ``[j, r, b, c]`` is the per-cell difference ``[b, j, r, c]``.  Every
-    element is computed with the ``"exact"`` table's expression, so the
-    values are identical, but neither the per-cell stored bits nor the
-    selected tensor is cached: the tables built from this are the only
-    per-pattern state a ``"fast"`` or ``"fused"`` engine keeps.
+    element selects the ``"exact"`` table's value (``stored * on + (1 -
+    stored) * off_selected`` equals ``on`` or ``off_selected``, up to the
+    sign of a zero), but neither the per-cell stored bits nor the selected
+    tensor is cached: the tables built from this are the only per-pattern
+    state a ``"fast"`` or ``"fused"`` engine keeps.
     """
     state = engine.state
     group = state.group(key)
-    # Plan bits are (rows, banks, 4) with rows block-row-major, so this
-    # layout is a free reshape; the per-cell tensors are
-    # (banks, R, block_rows, 4) and are read through transposed views.
+    # Plan bits are (rows, banks, 4) with rows block-row-major; their
+    # transposed view lines up with the per-cell (banks, R, block_rows, 4)
+    # tensors, which are read contiguously, and one copy transposes the
+    # difference into block-row-major layout.
     stored = engine._plan_bits(key).reshape(
         state.num_block_rows, state.block_rows, state.banks, NUM_COLUMNS
     )
-    table = np.empty(stored.shape)
-    np.multiply(stored, group.on.transpose(1, 2, 0, 3), out=table)
-    table += (1 - stored) * group.off_selected.transpose(1, 2, 0, 3)
-    table -= group.unselected.transpose(1, 2, 0, 3)
-    return table
+    difference = np.where(stored.transpose(2, 0, 1, 3), group.on, group.off_selected)
+    difference -= group.unselected
+    return np.ascontiguousarray(difference.transpose(1, 2, 0, 3))
 
 
 def _fast_tables(engine, key: str) -> tuple:

@@ -17,69 +17,39 @@ Predictions are bit-identical with tracing on or off — spans observe,
 never participate.
 """
 
-from .jsonl import JsonlWriter, iter_jsonl_file, read_jsonl
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from .tracer import (
-    DEFAULT_CAPACITY,
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    disable,
-    enable,
-    get_tracer,
-    new_id,
-    now,
-    set_tracer,
-    timed,
-)
-from .exporters import (
-    SpanLog,
-    format_summary,
-    read_spans,
-    summarize_trace,
-    to_chrome_trace,
-    write_chrome_trace,
-)
-from .config import OBS_SCHEMA, ObsConfig, ObsSession, obs_session
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_CAPACITY",
-    "DEFAULT_LATENCY_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "JsonlWriter",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
-    "OBS_SCHEMA",
-    "ObsConfig",
-    "ObsSession",
-    "REGISTRY",
-    "Span",
-    "SpanLog",
-    "Tracer",
-    "disable",
-    "enable",
-    "format_summary",
-    "get_tracer",
-    "iter_jsonl_file",
-    "new_id",
-    "now",
-    "obs_session",
-    "read_jsonl",
-    "read_spans",
-    "set_tracer",
-    "summarize_trace",
-    "timed",
-    "to_chrome_trace",
-    "write_chrome_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": ("OBS_SCHEMA", "ObsConfig", "ObsSession", "obs_session"),
+    ".exporters": (
+        "SpanLog",
+        "format_summary",
+        "read_spans",
+        "summarize_trace",
+        "to_chrome_trace",
+        "write_chrome_trace",
+    ),
+    ".jsonl": ("JsonlWriter", "iter_jsonl_file", "read_jsonl"),
+    ".metrics": (
+        "DEFAULT_LATENCY_BUCKETS",
+        "REGISTRY",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+    ),
+    ".tracer": (
+        "DEFAULT_CAPACITY",
+        "NULL_TRACER",
+        "NullTracer",
+        "Span",
+        "Tracer",
+        "disable",
+        "enable",
+        "get_tracer",
+        "new_id",
+        "now",
+        "set_tracer",
+        "timed",
+    ),
+})

@@ -22,53 +22,27 @@ N requests equals one offline :meth:`ChipSimulator.run` over the same
 inputs, ``array_equal`` — enforced by ``tests/serve/``.
 """
 
-from .batcher import MicroBatcher
-from .config import (
-    BACKPRESSURE_POLICIES,
-    POOL_MODES,
-    PROGRAM_TRANSPORTS,
-    SERVE_SCHEMA,
-    ServeConfig,
-)
-from .events import EventLog, NullEventLog, open_event_log, read_events, tail_events
-from .loadgen import LoadGenerator, LoadResult
-from .metrics import MetricsSnapshot, ServeMetrics
-from .program import ChipProgram, SharedProgramHandle, WarmChip
-from .promexp import MetricsServer, parse_exposition, render_prometheus
-from .runtime import (
-    InferenceRequest,
-    InferenceResponse,
-    QueueFullError,
-    ServeRuntime,
-)
-from .worker import ChipWorker, WorkerPool
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BACKPRESSURE_POLICIES",
-    "POOL_MODES",
-    "PROGRAM_TRANSPORTS",
-    "SERVE_SCHEMA",
-    "ChipProgram",
-    "ChipWorker",
-    "EventLog",
-    "InferenceRequest",
-    "InferenceResponse",
-    "LoadGenerator",
-    "LoadResult",
-    "MetricsServer",
-    "MetricsSnapshot",
-    "MicroBatcher",
-    "NullEventLog",
-    "QueueFullError",
-    "ServeConfig",
-    "ServeMetrics",
-    "ServeRuntime",
-    "SharedProgramHandle",
-    "WarmChip",
-    "WorkerPool",
-    "open_event_log",
-    "parse_exposition",
-    "read_events",
-    "render_prometheus",
-    "tail_events",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".batcher": ("MicroBatcher",),
+    ".config": (
+        "BACKPRESSURE_POLICIES",
+        "POOL_MODES",
+        "PROGRAM_TRANSPORTS",
+        "SERVE_SCHEMA",
+        "ServeConfig",
+    ),
+    ".events": ("EventLog", "NullEventLog", "open_event_log", "read_events", "tail_events"),
+    ".loadgen": ("LoadGenerator", "LoadResult"),
+    ".metrics": ("MetricsSnapshot", "ServeMetrics"),
+    ".program": ("ChipProgram", "SharedProgramHandle", "WarmChip"),
+    ".promexp": ("MetricsServer", "parse_exposition", "render_prometheus"),
+    ".runtime": (
+        "InferenceRequest",
+        "InferenceResponse",
+        "QueueFullError",
+        "ServeRuntime",
+    ),
+    ".worker": ("ChipWorker", "WorkerPool"),
+})

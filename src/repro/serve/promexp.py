@@ -20,8 +20,10 @@ minimal parser used by the tests and the CLI to prove the output is valid.
 from __future__ import annotations
 
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 __all__ = [
     "render_prometheus",
@@ -101,40 +103,48 @@ def parse_exposition(text: str) -> Dict[str, Dict[str, object]]:
     return families
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """``GET /metrics`` + ``GET /healthz``; silent access logging."""
+def _bind_server(
+    address: Tuple[str, int], render: Callable[[], str]
+) -> "ThreadingHTTPServer":
+    """A bound HTTP server answering ``GET /metrics`` and ``GET /healthz``.
 
-    server: "_Server"
+    ``http.server`` is imported here, not at module level, so rendering
+    and parsing the exposition text never load it.
+    """
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if self.path.split("?")[0] == "/metrics":
-            try:
-                body = self.server.render().encode("utf-8")
-            except Exception as exc:  # pragma: no cover - defensive
-                self.send_error(500, explain=str(exc))
-                return
-            self.send_response(200)
-            self.send_header("Content-Type", CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        elif self.path.split("?")[0] == "/healthz":
-            body = b"ok\n"
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        else:
-            self.send_error(404)
+    class Handler(BaseHTTPRequestHandler):
+        """``GET /metrics`` + ``GET /healthz``; silent access logging."""
 
-    def log_message(self, *args) -> None:  # pragma: no cover - silence
-        pass
+        def do_GET(self) -> None:  # noqa: N802 - http.server API
+            if self.path.split("?")[0] == "/metrics":
+                try:
+                    body = render().encode("utf-8")
+                except Exception as exc:  # pragma: no cover - defensive
+                    self.send_error(500, explain=str(exc))
+                    return
+                self.send_response(200)
+                self.send_header("Content-Type", CONTENT_TYPE)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+            elif self.path.split("?")[0] == "/healthz":
+                body = b"ok\n"
+                self.send_response(200)
+                self.send_header("Content-Type", "text/plain; charset=utf-8")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+            else:
+                self.send_error(404)
 
+        def log_message(self, *args) -> None:  # pragma: no cover - silence
+            pass
 
-class _Server(ThreadingHTTPServer):
-    daemon_threads = True
-    render: Callable[[], str]
+    class Server(ThreadingHTTPServer):
+        daemon_threads = True
+
+    return Server(address, Handler)
 
 
 class MetricsServer:
@@ -157,7 +167,7 @@ class MetricsServer:
         self._render = render
         self._host = host
         self._port = port
-        self._server: Optional[_Server] = None
+        self._server: Optional["ThreadingHTTPServer"] = None
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -179,8 +189,7 @@ class MetricsServer:
         """Bind and serve; returns the actual (host, port)."""
         if self._server is not None:
             raise RuntimeError("metrics server is already started")
-        server = _Server((self._host, self._port), _Handler)
-        server.render = self._render
+        server = _bind_server((self._host, self._port), self._render)
         self._server = server
         self._thread = threading.Thread(
             target=server.serve_forever,

@@ -13,43 +13,25 @@ programming).  Results merge into one ``BENCH_sweep.json`` record with
 Pareto summaries — the artifact CI's ``perf-gate`` job guards.
 """
 
-from .cache import (
-    SweepCache,
-    arrays_from_state,
-    calibration_key,
-    model_key,
-    programming_key,
-    restore_state,
-    weights_digest,
-)
-from .hashing import canonical_json, digest_arrays, digest_payload, stable_seed
-from .runner import (
-    SweepResult,
-    SweepRunner,
-    deterministic_view,
-    pareto_front,
-    run_job,
-)
-from .spec import BACKENDS, SweepJob, SweepSpec
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "SweepCache",
-    "SweepJob",
-    "SweepResult",
-    "SweepRunner",
-    "SweepSpec",
-    "arrays_from_state",
-    "calibration_key",
-    "canonical_json",
-    "deterministic_view",
-    "digest_arrays",
-    "digest_payload",
-    "model_key",
-    "pareto_front",
-    "programming_key",
-    "restore_state",
-    "run_job",
-    "stable_seed",
-    "weights_digest",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".cache": (
+        "SweepCache",
+        "arrays_from_state",
+        "calibration_key",
+        "model_key",
+        "programming_key",
+        "restore_state",
+        "weights_digest",
+    ),
+    ".hashing": ("canonical_json", "digest_arrays", "digest_payload", "stable_seed"),
+    ".runner": (
+        "SweepResult",
+        "SweepRunner",
+        "deterministic_view",
+        "pareto_front",
+        "run_job",
+    ),
+    ".spec": ("BACKENDS", "SweepJob", "SweepSpec"),
+})

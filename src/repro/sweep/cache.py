@@ -42,7 +42,6 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from ..cells.curfe_cell import SOLVER_REVISION
-from ..core.macro import IMCMacroConfig
 from ..devices.variation import NO_VARIATION
 from ..engine.array_state import ArrayState
 from ..engine.shm import host_shared_arrays, shm_available
@@ -173,6 +172,8 @@ def restore_state(design: str, arrays: Mapping[str, np.ndarray]) -> ArrayState:
     without consuming any random draws; the cached variation-dependent
     tensors then replace the broadcast placeholders.
     """
+    from ..core.macro import IMCMacroConfig
+
     banks, num_block_rows, block_rows, _ = np.shape(arrays["high_on"])
     config = IMCMacroConfig(
         rows=num_block_rows * block_rows,

@@ -24,7 +24,6 @@ and ``benchmarks/check_perf_floor.py`` gates.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -608,6 +607,8 @@ class SweepRunner:
                 if self.workers == 1:
                     records = [run_job(payload, self.cache_dir) for payload in payloads]
                 else:
+                    from concurrent.futures import ProcessPoolExecutor
+
                     ctx = tracer.current_context() if tracer.enabled else None
                     if ctx is not None:
                         payloads = [

@@ -1,57 +1,26 @@
 """System-level evaluation: NeuroSim-style performance model, DNN inference, accuracy."""
 
-from .accuracy import AccuracyPoint, AccuracySweep, adc_resolution_sweep, evaluate_accuracy
-from .activity import LayerActivity
-from .chip import BufferParameters, ChipParameters, DigitalLogicParameters
-from .htree import HTree, HTreeParameters
-from .inference import InferenceConfig, QuantizedInferenceEngine
-from .layers import ConvLayer, LayerShape, LinearLayer, PoolLayer
-from .mapping import LayerMapping, MacroGeometry, map_layer
-from .networks import NetworkSpec, resnet18_cifar10, resnet18_imagenet, vgg8_cifar10
-from .nn import SequentialNet, SmallCNN
-from .performance import (
-    LayerPerformance,
-    SystemPerformanceModel,
-    SystemPerformanceResult,
-)
-from .training import (
-    TrainingConfig,
-    TrainingHistory,
-    reference_model_and_dataset,
-    train_small_cnn,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AccuracyPoint",
-    "AccuracySweep",
-    "adc_resolution_sweep",
-    "evaluate_accuracy",
-    "LayerActivity",
-    "BufferParameters",
-    "ChipParameters",
-    "DigitalLogicParameters",
-    "HTree",
-    "HTreeParameters",
-    "InferenceConfig",
-    "QuantizedInferenceEngine",
-    "ConvLayer",
-    "LayerShape",
-    "LinearLayer",
-    "PoolLayer",
-    "LayerMapping",
-    "MacroGeometry",
-    "map_layer",
-    "NetworkSpec",
-    "resnet18_cifar10",
-    "resnet18_imagenet",
-    "vgg8_cifar10",
-    "SequentialNet",
-    "SmallCNN",
-    "LayerPerformance",
-    "SystemPerformanceModel",
-    "SystemPerformanceResult",
-    "TrainingConfig",
-    "TrainingHistory",
-    "reference_model_and_dataset",
-    "train_small_cnn",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".accuracy": ("AccuracyPoint", "AccuracySweep", "adc_resolution_sweep", "evaluate_accuracy"),
+    ".activity": ("LayerActivity",),
+    ".chip": ("BufferParameters", "ChipParameters", "DigitalLogicParameters"),
+    ".htree": ("HTree", "HTreeParameters"),
+    ".inference": ("InferenceConfig", "QuantizedInferenceEngine"),
+    ".layers": ("ConvLayer", "LayerShape", "LinearLayer", "PoolLayer"),
+    ".mapping": ("LayerMapping", "MacroGeometry", "map_layer"),
+    ".networks": ("NetworkSpec", "resnet18_cifar10", "resnet18_imagenet", "vgg8_cifar10"),
+    ".nn": ("SequentialNet", "SmallCNN"),
+    ".performance": (
+        "LayerPerformance",
+        "SystemPerformanceModel",
+        "SystemPerformanceResult",
+    ),
+    ".training": (
+        "TrainingConfig",
+        "TrainingHistory",
+        "reference_model_and_dataset",
+        "train_small_cnn",
+    ),
+})

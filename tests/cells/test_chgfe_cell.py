@@ -9,6 +9,7 @@ from repro.cells.chgfe_cell import (
     ChgFePCell,
     calibrated_nfefet_vth_states,
     calibrated_pfefet_on_vth,
+    characterise_chgfe_group,
 )
 from repro.devices.variation import DEFAULT_VARIATION
 
@@ -122,3 +123,26 @@ class TestChgFePCell:
     def test_sample_with_variation(self, rng):
         cell = ChgFePCell.sample(stored_bit=1, variation=DEFAULT_VARIATION, rng=rng)
         assert cell.fefet.vth_offset != 0.0
+
+
+class TestCharacteriseGroup:
+    """The batched tables equal each device's own ``bitline_delta_v``."""
+
+    @pytest.mark.parametrize("signed", [True, False], ids=["signed", "unsigned"])
+    def test_tables_match_per_cell_devices(self, signed, rng):
+        params = ChgFeCellParameters()
+        offsets = rng.normal(0.0, 0.04, size=(2, 3, 4))
+        on, off_selected, unselected = characterise_chgfe_group(
+            offsets, signed=signed, params=params
+        )
+        for index in np.ndindex(offsets.shape):
+            column, offset = index[-1], float(offsets[index])
+            if signed and column == 3:
+                cell = ChgFePCell(params=params, stored_bit=1, vth_offset=offset)
+            else:
+                cell = ChgFeNCell(column, params=params, stored_bit=1, vth_offset=offset)
+            assert on[index] == cell.bitline_delta_v(1)
+            assert unselected[index] == cell.bitline_delta_v(0)
+            cell.program(0)
+            assert off_selected[index] == cell.bitline_delta_v(1)
+        assert (on[..., 3] > 0).all() == signed

@@ -1,46 +1,12 @@
-"""Tests for transmission gates, pre-charge, wordline driver, switch matrix, reference bank."""
+"""Tests for pre-charge, wordline driver and reference bank."""
 
 import numpy as np
 import pytest
 
 from repro.circuits.precharge import PrechargeCircuit, PrechargeParameters
 from repro.circuits.reference_bank import ReferenceBank, ReferenceBankParameters
-from repro.circuits.switch_matrix import SwitchMatrix, SwitchMatrixParameters
-from repro.circuits.transmission_gate import TransmissionGate
 from repro.circuits.wordline_driver import WordlineDriver, WordlineDriverParameters
 from repro.devices.passives import Capacitor
-
-
-class TestTransmissionGate:
-    def test_off_by_default(self):
-        gate = TransmissionGate()
-        assert not gate.is_on
-        assert gate.resistance > 1e9
-
-    def test_enable_disable(self):
-        gate = TransmissionGate()
-        gate.enable()
-        assert gate.is_on
-        assert gate.resistance == pytest.approx(gate.on_resistance)
-        gate.disable()
-        assert not gate.is_on
-
-    def test_set_state(self):
-        gate = TransmissionGate()
-        gate.set_state(True)
-        assert gate.is_on
-
-    def test_on_resistance_is_parallel_combination(self):
-        gate = TransmissionGate()
-        rn = gate.nmos_params.on_resistance
-        rp = gate.pmos_params.on_resistance
-        assert gate.on_resistance == pytest.approx(rn * rp / (rn + rp))
-
-    def test_switching_energy_positive(self):
-        assert TransmissionGate().switching_energy(1.0) > 0
-
-    def test_parasitic_capacitance(self):
-        assert TransmissionGate().parasitic_capacitance() > 0
 
 
 class TestPrecharge:
@@ -97,33 +63,6 @@ class TestWordlineDriver:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             WordlineDriverParameters(wordline_capacitance=0.0)
-
-
-class TestSwitchMatrix:
-    def test_sign_column_bias(self):
-        matrix = SwitchMatrix(num_columns=8, sign_column=7)
-        voltages = matrix.sourceline_voltages()
-        assert voltages[7] == pytest.approx(1.0)
-        assert all(voltages[c] == 0.0 for c in range(7))
-        assert matrix.sourceline_voltage(7) == pytest.approx(1.0)
-        assert matrix.sourceline_voltage(0) == 0.0
-
-    def test_out_of_range_column(self):
-        with pytest.raises(ValueError):
-            SwitchMatrix(num_columns=4).sourceline_voltage(9)
-
-    def test_invalid_sign_column(self):
-        with pytest.raises(ValueError):
-            SwitchMatrix(num_columns=4, sign_column=4)
-
-    def test_energies_positive(self):
-        matrix = SwitchMatrix()
-        assert matrix.configuration_energy() > 0
-        assert matrix.leakage_power() > 0
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            SwitchMatrixParameters(sign_column_supply=0.0)
 
 
 class TestReferenceBank:

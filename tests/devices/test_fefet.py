@@ -9,6 +9,7 @@ from repro.devices.fefet import (
     FeFET,
     FeFETParameters,
     calibrate_vth_for_on_current,
+    fefet_bias_factor,
     make_mlc_nfefet,
     make_slc_nfefet,
     make_slc_pfefet,
@@ -124,6 +125,23 @@ class TestFeFETCurrent:
         forward = device.drain_current(1.0, 0.5, 0.0)
         reverse = device.drain_current(1.0, -0.5, 0.0)
         assert reverse == pytest.approx(forward, rel=0.2)
+
+
+@pytest.mark.parametrize("params", [DEFAULT_NFEFET_PARAMS, DEFAULT_PFEFET_PARAMS], ids=["n", "p"])
+def test_bias_factor_equals_the_plain_expression(params, rng):
+    """The in-place evaluation gives the reference expression's floats."""
+    vt, n = 0.02585, params.subthreshold_ideality
+    vth = rng.normal(0.0, 1.5, size=(6, 7))  # both softplus branches
+    for vg, vs in ((1.5, 0.0), (rng.normal(size=7), 0.3)):
+        vgs = np.asarray(vg) - vs
+        x = ((vgs - vth) if params.polarity == "n" else (vth - vgs)) / (n * vt)
+        softplus = np.where(x > 40.0, x, np.log1p(np.exp(np.minimum(x, 40.0))))
+        expected = params.transconductance * (n * vt) ** 2 * softplus * softplus
+        assert (x > 40.0).any() and (x < 40.0).any()
+        before = vth.copy()
+        got = fefet_bias_factor(vg, vs, vth, params)
+        assert got.tobytes() == expected.tobytes()
+        assert np.array_equal(vth, before)  # inputs are not overwritten
 
 
 class TestCalibration:

@@ -256,7 +256,9 @@ class TestMemoryProbe:
 
     def test_probe_counts_scale_with_allocations(self):
         before = _memory_bytes()["private_bytes"]
-        ballast = np.ones(4_000_000)  # ~32 MB of private dirty pages
+        # 64 MB: above glibc's 32 MiB cap on the dynamic mmap threshold, so
+        # the ballast is always a fresh mapping, never reused heap pages.
+        ballast = np.ones(8_000_000)
         ballast += 1.0
         after = _memory_bytes()["private_bytes"]
         del ballast
