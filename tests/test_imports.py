@@ -90,3 +90,44 @@ def test_every_export_resolves(package):
         getattr(module, name)
     with pytest.raises(AttributeError):
         getattr(module, "no_such_export")
+
+
+@pytest.fixture
+def lazy_package(tmp_path, monkeypatch):
+    """A throwaway package whose ``__init__`` exports two names lazily."""
+    name = "lazy_exports_probe"
+    root = tmp_path / name
+    root.mkdir()
+    (root / "__init__.py").write_text(
+        "from repro._lazy import lazy_exports\n"
+        "__all__, __getattr__, __dir__ = lazy_exports(__name__, {\n"
+        "    '.things': ('Thing', 'other'),\n"
+        "})\n"
+    )
+    (root / "things.py").write_text("class Thing:\n    pass\n\nother = 3\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    yield name
+    for module in [m for m in sys.modules if m.split(".")[0] == name]:
+        del sys.modules[module]
+
+
+def test_first_access_imports_the_submodule_and_caches_the_name(lazy_package):
+    package = importlib.import_module(lazy_package)
+    submodule = lazy_package + ".things"
+    assert package.__all__ == ["Thing", "other"]
+    assert {"Thing", "other"} <= set(dir(package))
+    assert submodule not in sys.modules
+    assert "Thing" not in vars(package)
+
+    thing = package.Thing
+    assert thing is sys.modules[submodule].Thing
+    # Cached in the namespace: later lookups no longer go through __getattr__.
+    assert vars(package)["Thing"] is thing
+    assert "other" not in vars(package)
+
+
+def test_a_name_exported_twice_is_rejected():
+    from repro._lazy import lazy_exports
+
+    with pytest.raises(ValueError, match="'Thing' is exported twice"):
+        lazy_exports("any_package", {".a": ("Thing",), ".b": ("other", "Thing")})
